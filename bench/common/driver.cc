@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -30,7 +31,8 @@ constexpr char kUsage[] =
     "  --smoke              prepend each experiment's tiny smoke "
     "parameters\n"
     "  --no-cache           bypass the campaign cache\n"
-    "  --cache_dir=DIR      persist campaign cache entries under DIR\n"
+    "  --cache_dir=DIR      cache campaign results under DIR (default: "
+    "no cache)\n"
     "  --out_dir=DIR        write each report to DIR/<name>.txt instead "
     "of stdout\n"
     "\n"
@@ -168,8 +170,12 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
                              ": no selected experiment declares it");
   }
 
-  core::CampaignCache cache(options.cache_dir);
-  core::CampaignCache* cache_ptr = options.no_cache ? nullptr : &cache;
+  // Campaigns go through the disk cache only when a directory is given
+  // and --no-cache is not; otherwise they run directly.
+  std::optional<core::CampaignCache> cache;
+  if (!options.cache_dir.empty() && !options.no_cache) {
+    cache.emplace(options.cache_dir);
+  }
   if (!options.out_dir.empty()) {
     std::filesystem::create_directories(options.out_dir);
   }
@@ -188,8 +194,8 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
 
     core::CampaignResult result;
     if (spec->build_campaign) {
-      result = core::RunCampaignCached(spec->build_campaign(flags),
-                                       cache_ptr, &err);
+      result = core::RunCampaignCached(
+          spec->build_campaign(flags), cache ? &*cache : nullptr, &err);
     }
 
     if (options.out_dir.empty()) {
@@ -210,8 +216,8 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
     }
   }
 
-  if (cache_ptr != nullptr) {
-    const core::CampaignCacheStats& stats = cache.stats();
+  if (cache) {
+    const core::CampaignCacheStats& stats = cache->stats();
     err << "vrdrepro: cache hits=" << stats.hits
         << " misses=" << stats.misses << " stores=" << stats.stores
         << '\n';

@@ -1,5 +1,6 @@
 #include "core/campaign_cache.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <iomanip>
 #include <map>
@@ -66,13 +67,12 @@ CampaignResult FromCheckpoint(CampaignCheckpoint&& checkpoint) {
 
 }  // namespace
 
-CampaignCache::CampaignCache(std::string dir) : dir_(std::move(dir)) {}
+CampaignCache::CampaignCache(std::string dir) : dir_(std::move(dir)) {
+  VRD_FATAL_IF(dir_.empty(), "campaign-cache: empty cache directory");
+}
 
 std::string CampaignCache::EntryPath(
     const CampaignConfig& config) const {
-  if (dir_.empty()) {
-    return "";
-  }
   return (std::filesystem::path(dir_) /
           ("campaign-" + HashHex(HashCampaignConfig(config)) + ".ckpt"))
       .string();
@@ -80,31 +80,22 @@ std::string CampaignCache::EntryPath(
 
 std::optional<CampaignResult> CampaignCache::Lookup(
     const CampaignConfig& config) {
-  const std::uint64_t hash = HashCampaignConfig(config);
-  const auto memo = memo_.find(hash);
-  if (memo != memo_.end()) {
-    ++stats_.hits;
-    return memo->second;
-  }
-  if (!dir_.empty()) {
-    CampaignCheckpoint checkpoint;
-    if (LoadCheckpointFor(EntryPath(config), hash, &checkpoint)) {
-      // A valid entry must cover every shard of the campaign exactly
-      // once (quarantined shards are never serialized). Anything less
-      // is a foreign or partial file: fall through to a fresh run.
-      const std::size_t expected =
-          config.devices.size() * config.temperatures.size();
-      bool complete = checkpoint.shards.size() == expected;
-      for (std::size_t i = 0; complete && i < checkpoint.shards.size();
-           ++i) {
-        complete = checkpoint.shards[i].index == i;
-      }
-      if (complete) {
-        CampaignResult result = FromCheckpoint(std::move(checkpoint));
-        ++stats_.hits;
-        memo_.emplace(hash, result);
-        return result;
-      }
+  CampaignCheckpoint checkpoint;
+  if (LoadCheckpointFor(EntryPath(config), HashCampaignConfig(config),
+                        &checkpoint)) {
+    // A valid entry must cover every shard of the campaign exactly
+    // once (quarantined shards are never serialized). Anything less
+    // is a foreign or partial file: fall through to a fresh run.
+    const std::size_t expected =
+        config.devices.size() * config.temperatures.size();
+    bool complete = checkpoint.shards.size() == expected;
+    for (std::size_t i = 0; complete && i < checkpoint.shards.size();
+         ++i) {
+      complete = checkpoint.shards[i].index == i;
+    }
+    if (complete) {
+      ++stats_.hits;
+      return FromCheckpoint(std::move(checkpoint));
     }
   }
   ++stats_.misses;
@@ -116,15 +107,11 @@ bool CampaignCache::Store(const CampaignConfig& config,
   if (!IsComplete(result)) {
     return false;
   }
-  const std::uint64_t hash = HashCampaignConfig(config);
-  memo_.insert_or_assign(hash, result);
-  if (!dir_.empty()) {
-    std::filesystem::create_directories(dir_);
-    CampaignCheckpoint checkpoint;
-    checkpoint.config_hash = hash;
-    checkpoint.shards = ToShardEntries(result);
-    SaveCheckpoint(EntryPath(config), checkpoint);
-  }
+  std::filesystem::create_directories(dir_);
+  CampaignCheckpoint checkpoint;
+  checkpoint.config_hash = HashCampaignConfig(config);
+  checkpoint.shards = ToShardEntries(result);
+  SaveCheckpoint(EntryPath(config), checkpoint);
   ++stats_.stores;
   return true;
 }
@@ -152,8 +139,7 @@ CampaignResult RunCampaignCached(const CampaignConfig& config,
   CampaignResult result = RunCampaign(config, progress);
   if (cache->Store(config, result)) {
     if (telemetry != nullptr) {
-      *telemetry << "campaign-cache: stored " << key
-                 << (cache->dir().empty() ? " (memory)\n" : "\n");
+      *telemetry << "campaign-cache: stored " << key << '\n';
     }
   } else if (telemetry != nullptr) {
     *telemetry << "campaign-cache: not cached " << key

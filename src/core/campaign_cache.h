@@ -11,14 +11,12 @@
  * fault injection, checkpoint paths) never participate in the key:
  * two configs that intend the same records share one entry.
  *
- * The cache has two layers:
- *
- *  - an in-process memo, so one driver invocation (`vrdrepro run
- *    --all`) executes each unique campaign exactly once and fans all
- *    dependent analyses out over the memoized result, and
- *  - an optional on-disk directory (one checkpoint file per entry,
- *    written with the atomic tmp+rename of `SaveCheckpoint`), so a
- *    later invocation skips the campaigns entirely.
+ * The cache lives on disk: one checkpoint file per entry in the
+ * cache directory, written with the atomic tmp+rename of
+ * `SaveCheckpoint`, so a later invocation skips the campaigns
+ * entirely. Every hit is a read of the entry file. No two experiments
+ * of one `vrdrepro run --all` share a campaign, so an in-process layer
+ * would never hit.
  *
  * Only *complete* campaigns are cached: a result with a quarantined
  * shard is degraded and must be re-attempted, never replayed. A disk
@@ -30,9 +28,7 @@
 #ifndef VRDDRAM_CORE_CAMPAIGN_CACHE_H
 #define VRDDRAM_CORE_CAMPAIGN_CACHE_H
 
-#include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -42,23 +38,23 @@ namespace vrddram::core {
 
 /// Hit/miss/store counters, surfaced in driver telemetry.
 struct CampaignCacheStats {
-  std::size_t hits = 0;    ///< lookups served from memory or disk
+  std::size_t hits = 0;    ///< lookups served from disk
   std::size_t misses = 0;  ///< lookups that fell through to RunCampaign
   std::size_t stores = 0;  ///< complete results admitted to the cache
 };
 
 class CampaignCache {
  public:
-  /// `dir` is the on-disk entry directory ("" = in-memory only). The
-  /// directory is created lazily on the first Store.
-  explicit CampaignCache(std::string dir = "");
+  /// `dir` is the on-disk entry directory; it must be non-empty
+  /// (FatalError otherwise) and is created lazily on the first Store.
+  explicit CampaignCache(std::string dir);
 
   /**
    * Return the cached result for `config`, or nullopt on a miss.
-   * Disk entries are validated (format version, config hash, one
+   * Entries are validated (format version, config hash, one
    * entry per shard, no quarantined shards) before use; a version or
-   * hash mismatch raises FatalError naming the file, while an
-   * incomplete entry is treated as a miss.
+   * hash mismatch or an unparsable entry raises FatalError naming the
+   * file, while an incomplete entry is treated as a miss.
    */
   std::optional<CampaignResult> Lookup(const CampaignConfig& config);
 
@@ -69,15 +65,13 @@ class CampaignCache {
    */
   bool Store(const CampaignConfig& config, const CampaignResult& result);
 
-  /// Path of the disk entry for `config` ("" when in-memory only).
+  /// Path of the disk entry for `config`.
   std::string EntryPath(const CampaignConfig& config) const;
 
-  const std::string& dir() const { return dir_; }
   const CampaignCacheStats& stats() const { return stats_; }
 
  private:
   std::string dir_;
-  std::map<std::uint64_t, CampaignResult> memo_;
   CampaignCacheStats stats_;
 };
 
@@ -85,9 +79,10 @@ class CampaignCache {
  * Run `config` through `cache`: a hit returns the stored result
  * without executing anything; a miss runs `RunCampaign` and admits
  * the result. `cache == nullptr` degrades to a plain `RunCampaign`
- * (the `--no-cache` escape hatch). `telemetry` (optional) receives
- * one `campaign-cache:` line per lookup — hit/miss, the 16-hex-digit
- * key, and where the entry came from or went.
+ * (the driver's path without `--cache_dir`, or with `--no-cache`).
+ * `telemetry` (optional) receives one `campaign-cache:` line per
+ * lookup — hit/miss, the 16-hex-digit key, and where the entry came
+ * from or went.
  */
 CampaignResult RunCampaignCached(const CampaignConfig& config,
                                  CampaignCache* cache,

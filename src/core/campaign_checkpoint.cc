@@ -108,7 +108,6 @@ SeriesRecord ReadRecord(std::istream& is) {
   record.temperature = ReadHexDouble(is, "record temperature");
   record.rdt_guess = ReadInt<std::uint64_t>(is, "rdt_guess");
   const auto n = ReadInt<std::size_t>(is, "series length");
-  record.series.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     record.series.push_back(ReadInt<std::int64_t>(is, "series value"));
   }
@@ -188,8 +187,10 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
                  "checkpoint: bad config hash '" + token + "'");
   }
   Expect(is, "shards");
+  // Counts are read from the file, so nothing reserves on them: a
+  // corrupted count must fail on the first missing token with a
+  // FatalError, never turn into a huge allocation.
   const auto shard_count = ReadInt<std::size_t>(is, "shard count");
-  checkpoint.shards.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     Expect(is, "shard");
     CampaignCheckpoint::ShardEntry entry;
@@ -208,7 +209,6 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
     std::getline(is, entry.status.error);
     Expect(is, "records");
     const auto record_count = ReadInt<std::size_t>(is, "record count");
-    entry.records.reserve(record_count);
     for (std::size_t r = 0; r < record_count; ++r) {
       entry.records.push_back(ReadRecord(is));
     }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <span>
 
-#include "common/arena.h"
 #include "common/error.h"
 #include "core/campaign.h"
 
@@ -42,18 +42,15 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
   VRD_FATAL_IF(config.trials == 0, "study needs trials");
   std::vector<RowGuardbandOutcome> outcomes;
 
-  // Per-study arena + scratch reused by every (device, pattern, row,
-  // margin) combination: the measurement loops are allocation-free
-  // once the buffers reach their high-water capacity.
-  MonotonicArena arena;
+  // Per-study scratch reused by every (device, pattern, row, margin)
+  // combination: the measurement loops are allocation-free once the
+  // buffers reach their high-water capacity.
   vrd::MeasureContext mctx;
   std::vector<vrd::TrapFaultEngine::CellFlipPoint> points;
   std::vector<std::uint32_t> flipped_bits;
   std::vector<std::uint32_t> chip_scratch;
 
   for (const std::string& name : config.devices) {
-    // The previous device's selection spans are dead; reuse the pages.
-    arena.Reset();
     std::unique_ptr<dram::Device> device =
         vrd::BuildDevice(name, config.base_seed);
     auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
@@ -65,7 +62,7 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
         *device, *engine, /*bank=*/0, per_region,
         config.scan_rows_per_region, dram::DataPattern::kCheckered0,
-        device->timing().tRAS, arena);
+        device->timing().tRAS);
     if (progress != nullptr) {
       *progress << "guardband: " << name << ", " << rows.size()
                 << " rows\n";

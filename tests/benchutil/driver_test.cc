@@ -125,6 +125,62 @@ TEST(DriverTest, WarmCacheRunsAreByteIdenticalAtAnyThreads) {
   std::filesystem::remove_all(cache_dir);
 }
 
+TEST(DriverTest, NoCacheDirRunsCampaignsUncached) {
+  const std::vector<std::string> args = {
+      "run", "fig10_data_pattern", "--smoke", "--rows=2",
+      "--measurements=60", "--iters=100"};
+  const DriverRun plain = Drive(args);
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  EXPECT_EQ(plain.err.find("cache"), std::string::npos) << plain.err;
+
+  std::vector<std::string> no_cache_args = args;
+  no_cache_args.push_back("--no-cache");
+  const DriverRun no_cache = Drive(no_cache_args);
+  ASSERT_EQ(no_cache.exit_code, 0) << no_cache.err;
+  EXPECT_EQ(plain.out, no_cache.out);
+}
+
+TEST(DriverTest, CorruptedCacheCountExitsTwoNamingTheFile) {
+  const std::string cache_dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       "vrddram_driver_corrupt_cache")
+          .string();
+  std::filesystem::remove_all(cache_dir);
+  const std::vector<std::string> args = {
+      "run", "fig10_data_pattern", "--smoke", "--rows=2",
+      "--measurements=60", "--iters=100", "--cache_dir=" + cache_dir};
+  const DriverRun cold = Drive(args);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+
+  // Rewrite the single entry's first record count to 2^60.
+  std::string entry;
+  for (const auto& file : std::filesystem::directory_iterator(cache_dir)) {
+    entry = file.path().string();
+  }
+  ASSERT_FALSE(entry.empty());
+  std::string text;
+  {
+    std::ifstream in(entry);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  const std::size_t records = text.find("\nrecords ");
+  ASSERT_NE(records, std::string::npos);
+  const std::size_t end = text.find('\n', records + 1);
+  text = text.substr(0, records) + "\nrecords 1152921504606846976" +
+         text.substr(end);
+  {
+    std::ofstream out(entry, std::ios::trunc);
+    out << text;
+  }
+
+  const DriverRun warm = Drive(args);
+  EXPECT_EQ(warm.exit_code, 2);
+  EXPECT_NE(warm.err.find(entry), std::string::npos) << warm.err;
+  std::filesystem::remove_all(cache_dir);
+}
+
 TEST(DriverTest, OutDirWritesOneReportPerExperiment) {
   const std::string out_dir =
       (std::filesystem::path(::testing::TempDir()) /

@@ -1,10 +1,10 @@
 /**
  * Content-addressed campaign cache tests: a warm lookup returns the
- * exact records a fresh run produces (at any worker count), disk
- * entries reuse the checkpoint grammar, and incompatible entries —
- * wrong format version or foreign config hash — refuse to load with a
- * FatalError naming the offending file for both `--resume` and cache
- * lookups.
+ * exact records a fresh run produces (at any worker count), entries
+ * reuse the checkpoint grammar on disk, and incompatible or corrupted
+ * entries — wrong format version, foreign config hash, absurd counts —
+ * refuse to load with a FatalError naming the offending file for both
+ * `--resume` and cache lookups.
  */
 #include "core/campaign_cache.h"
 
@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "core/campaign.h"
@@ -66,20 +67,28 @@ void ExpectResultsIdentical(const CampaignResult& expected,
   }
 }
 
-TEST(CampaignCacheTest, MemoryOnlyCacheRoundTrips) {
-  CampaignCache cache;  // no directory: in-process memo only
+TEST(CampaignCacheTest, LookupAfterStoreIsServedFromDisk) {
+  EXPECT_THROW(CampaignCache(""), FatalError);  // the cache needs a disk
+  const std::string dir = TempCacheDir("same_instance");
+  CampaignCache cache(dir);
   const CampaignConfig config = TinyConfig();
   EXPECT_FALSE(cache.Lookup(config).has_value());
 
   const CampaignResult fresh = RunCampaign(config);
   EXPECT_TRUE(cache.Store(config, fresh));
 
+  // The same instance holds nothing in memory: the hit is the entry
+  // read back from disk, so every shard is marked as restored.
   const auto cached = cache.Lookup(config);
   ASSERT_TRUE(cached.has_value());
-  ExpectResultsIdentical(fresh, *cached, "memory cache");
+  ExpectResultsIdentical(fresh, *cached, "same instance");
+  for (const ShardStatus& shard : cached->shards) {
+    EXPECT_TRUE(shard.from_checkpoint);
+  }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().stores, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignCacheTest, DiskEntrySurvivesANewCacheInstance) {
@@ -130,24 +139,28 @@ TEST(CampaignCacheTest, RunCampaignCachedHitMatchesFreshAtAnyThreads) {
 }
 
 TEST(CampaignCacheTest, DifferentConfigsUseDifferentEntries) {
-  CampaignCache cache;
+  const std::string dir = TempCacheDir("different");
+  CampaignCache cache(dir);
   const CampaignConfig config = TinyConfig();
   CampaignConfig other = TinyConfig();
   other.measurements += 1;
-  EXPECT_NE(CampaignCache("d").EntryPath(config),
-            CampaignCache("d").EntryPath(other));
+  EXPECT_NE(cache.EntryPath(config), cache.EntryPath(other));
   ASSERT_TRUE(cache.Store(config, RunCampaign(config)));
   EXPECT_FALSE(cache.Lookup(other).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignCacheTest, RefusesToStoreQuarantinedCampaigns) {
-  CampaignCache cache;
+  const std::string dir = TempCacheDir("quarantined");
+  CampaignCache cache(dir);
   const CampaignConfig config = TinyConfig();
   CampaignResult partial = RunCampaign(config);
   partial.shards.back().state = ShardState::kQuarantined;
   EXPECT_FALSE(cache.Store(config, partial));
+  EXPECT_FALSE(std::filesystem::exists(cache.EntryPath(config)));
   EXPECT_FALSE(cache.Lookup(config).has_value());
   EXPECT_EQ(cache.stats().stores, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignCacheTest, PartialEntryIsAMissNotAnError) {
@@ -191,6 +204,63 @@ TEST(CampaignCacheTest, LookupRejectsForeignConfigHashNamingTheFile) {
     const std::string what = e.what();
     EXPECT_NE(what.find(other_path), std::string::npos) << what;
     EXPECT_NE(what.find("does not match"), std::string::npos) << what;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Replaces the last token of the first line of `text` that starts
+/// with `prefix` (a count field of the checkpoint grammar; the magic
+/// line always comes first, so no count sits on line one).
+std::string WithFirstCount(const std::string& text,
+                           const std::string& prefix,
+                           const std::string& value) {
+  const std::size_t line = text.find("\n" + prefix);
+  EXPECT_NE(line, std::string::npos) << prefix;
+  if (line == std::string::npos) {
+    return text;
+  }
+  const std::size_t end = text.find('\n', line + 1);
+  const std::size_t last_space = text.rfind(' ', end);
+  return text.substr(0, last_space + 1) + value + text.substr(end);
+}
+
+TEST(CampaignCacheTest, LookupRejectsAbsurdCountsNamingTheFile) {
+  const std::string dir = TempCacheDir("counts");
+  const CampaignConfig config = TinyConfig();
+  CampaignCache cache(dir);
+  ASSERT_TRUE(cache.Store(config, RunCampaign(config)));
+  const std::string path = cache.EntryPath(config);
+  std::string original;
+  {
+    std::ifstream file(path);
+    std::ostringstream text;
+    text << file.rdbuf();
+    original = text.str();
+  }
+
+  // Every count the reader takes from the file, set far beyond what
+  // the file holds or memory could: the reader must run out of tokens
+  // and raise a typed error, not reserve the count up front.
+  const std::pair<const char*, const char*> cases[] = {
+      {"shards ", "1152921504606846976"},
+      {"records ", "1152921504606846976"},
+      {"record ", "1099511627776"},
+      {"records ", "18446744073709551615"},
+  };
+  for (const auto& [field, value] : cases) {
+    SCOPED_TRACE(std::string(field) + value);
+    {
+      std::ofstream file(path, std::ios::trunc);
+      file << WithFirstCount(original, field, value);
+    }
+    CampaignCache reopened(dir);
+    try {
+      reopened.Lookup(config);
+      FAIL() << "expected FatalError for a corrupted count";
+    } catch (const FatalError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
   }
   std::filesystem::remove_all(dir);
 }

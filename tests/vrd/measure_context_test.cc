@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "dram/cell_encoding.h"
@@ -226,100 +225,6 @@ TEST(MeasureContextTest, BitIdenticalToLegacyPathAcrossCatalog) {
         const double want = legacy.MinFlipHammerCount(
             0, row, 0x55, 0xAA, t_on, temp, encoding, now);
         EXPECT_EQ(want, ctxeng.MinFlipHammerCount(ctx, now));
-      }
-    }
-  }
-}
-
-/**
- * The DESIGN.md §10 contract: the bank-wide batched kernel — SoA
- * gather, SIMD-dispatched decay blend, arena-backed storage — is
- * bit-identical per row to the scalar MeasureContext path driven in
- * the same lockstep, including each row's dynamics-RNG consumption.
- * Also exercises the mixed-history fallback by measuring one batch row
- * through the scalar path mid-series on both engines.
- */
-TEST(BatchMeasureContextTest, BitIdenticalToScalarContextLockstep) {
-  for (const char* name : {"H0", "M2", "S0", "Chip1"}) {
-    SCOPED_TRACE(name);
-    const TestedChip chip = MakeTestedChip(name);
-    TrapFaultEngine scalar(chip.fault, chip.device.seed,
-                           chip.device.org);
-    TrapFaultEngine batched(chip.fault, chip.device.seed,
-                            chip.device.org);
-    const dram::CellEncodingLayout encoding(chip.device.seed,
-                                            chip.device.anti_cell_fraction);
-    const Tick t_on = chip.device.timing.tRAS;
-    const Celsius temp = 60.0;
-
-    // The first 8 rows with weak cells, plus one deliberately empty
-    // batch member if an early row has none (exercises zero-count
-    // spans in the SoA addressing).
-    std::vector<dram::PhysicalRow> rows;
-    for (dram::RowAddr r = 1; r < 4000 && rows.size() < 8; ++r) {
-      const auto& state = scalar.RowStateOf(0, dram::PhysicalRow{r});
-      if (!state.cells.empty() || rows.size() == 3) {
-        rows.push_back(dram::PhysicalRow{r});
-      }
-    }
-    ASSERT_EQ(rows.size(), 8u);
-
-    // Scalar reference: one per-row context, driven in lockstep.
-    std::vector<MeasureContext> ctxs(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      scalar.MakeMeasureContext(0, rows[r], 0x55, 0xAA, t_on, temp,
-                                encoding, 0, ctxs[r]);
-    }
-    MonotonicArena arena;
-    BatchMeasureContext batch = batched.MakeBatchMeasureContext(
-        0, rows, 0x55, 0xAA, t_on, temp, encoding, 0, arena);
-    ASSERT_EQ(batch.row_count(), rows.size());
-    std::size_t cell_total = 0;
-    for (const MeasureContext& c : ctxs) {
-      cell_total += c.cell_count();
-    }
-    EXPECT_EQ(batch.total_cell_count(), cell_total);
-
-    const Tick deltas[] = {20 * units::kMillisecond,
-                           20 * units::kMillisecond,
-                           7 * units::kMillisecond,
-                           1 * units::kSecond,
-                           20 * units::kMillisecond,
-                           333 * units::kMicrosecond};
-    Tick now = 0;
-    std::vector<double> min_hc(rows.size());
-    std::vector<TrapFaultEngine::CellFlipPoint> flat;
-    std::vector<TrapFaultEngine::CellFlipPoint> scratch;
-    for (int i = 0; i < 120; ++i) {
-      now += deltas[i % 6];
-      if (i % 3 == 2) {
-        batched.BatchPerCellFlipHammerCounts(batch, now, flat);
-        ASSERT_EQ(flat.size(), batch.total_cell_count());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          scalar.PerCellFlipHammerCounts(ctxs[r], now, scratch);
-          const auto [begin, count] = batch.RowCellRange(r);
-          ASSERT_EQ(scratch.size(), count);
-          for (std::size_t c = 0; c < scratch.size(); ++c) {
-            EXPECT_EQ(scratch[c].bit_index, flat[begin + c].bit_index);
-            EXPECT_EQ(scratch[c].hammer_count,
-                      flat[begin + c].hammer_count);
-          }
-        }
-      } else {
-        batched.BatchMinFlipHammerCounts(batch, now, min_hc);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          EXPECT_EQ(scalar.MinFlipHammerCount(ctxs[r], now), min_hc[r])
-              << "row " << r << " measurement " << i;
-        }
-      }
-      if (i == 60) {
-        // Knock one row out of lockstep through the scalar path on
-        // BOTH engines: the next batch call must take the
-        // mixed-history fallback and still match bit for bit.
-        const Tick skew = now + 3 * units::kMillisecond;
-        scalar.MinFlipHammerCount(ctxs[5], skew);
-        batched.MinFlipHammerCount(
-            0, rows[5], 0x55, 0xAA, t_on, temp, encoding, skew);
       }
     }
   }

@@ -104,7 +104,9 @@ std::vector<std::string> OuterRngNames(const RuleContext& ctx,
 void CheckRefCaptures(const RuleContext& ctx, const DispatchLambda& dl,
                       const std::vector<std::string>& rng_names,
                       std::vector<Diagnostic>* diagnostics) {
-  const std::string_view intro = ctx.view.flat.substr(
+  // View the flat text itself: std::string::substr would return a
+  // temporary that dies before the loop reads it.
+  const std::string_view intro = std::string_view(ctx.view.flat).substr(
       dl.intro + 1, dl.intro_close - dl.intro - 1);
   for (const std::string_view entry : SplitArgs(intro)) {
     const std::string trimmed = Trim(entry);

@@ -28,8 +28,9 @@
  *  - campaign-discipline   direct RunCampaign(...) calls in files under
  *                          bench/ — experiments must route execution
  *                          through the registry driver's cached path
- *                          (core::RunCampaignCached) so `vrdrepro run
- *                          --all` executes each unique campaign once
+ *                          (core::RunCampaignCached) so a
+ *                          --cache_dir run stores each campaign and a
+ *                          later run with the same directory skips it
  *  - kernel-allocation     heap allocation in measurement-kernel files
  *                          (the `kernel-path` entries of the config):
  *                          `new` expressions, make_unique/make_shared,
@@ -37,7 +38,7 @@
  *                          emplace_back / resize) on an object with no
  *                          earlier `.reserve(...)` in the file — the
  *                          hot path must stay allocation-free
- *                          (DESIGN.md §10); construction-time growth
+ *                          (DESIGN.md §9); construction-time growth
  *                          is excused by pairing it with a reserve or
  *                          by annotation
  *
