@@ -1,8 +1,9 @@
 #include "common/bench_util.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <sstream>
 
 #include "common/error.h"
@@ -28,21 +29,15 @@ bool SplitFlagToken(const std::string& arg, std::string* key,
   return true;
 }
 
-}  // namespace
-
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string key;
-    std::string value;
-    if (!SplitFlagToken(arg, &key, &value)) {
-      std::cerr << "unrecognized argument: " << arg
-                << " (flags are --key=value)\n";
-      std::exit(2);
-    }
-    values_[key] = value;
-  }
+/// Message for a flag value that does not parse as `expected`.
+std::string InvalidValue(const std::string& key, const std::string& value,
+                         const std::string& expected,
+                         const std::vector<FlagSpec>& schema) {
+  return "flag --" + key + ": invalid value '" + value + "' (expected " +
+         expected + ")\n" + Flags::Describe(schema);
 }
+
+}  // namespace
 
 Flags::Flags(const std::vector<std::string>& args,
              const std::vector<FlagSpec>& schema)
@@ -61,38 +56,6 @@ Flags::Flags(const std::vector<std::string>& args,
   }
 }
 
-std::uint64_t Flags::GetUint(const std::string& key,
-                             std::uint64_t default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-double Flags::GetDouble(const std::string& key,
-                        double default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
-std::string Flags::GetString(const std::string& key,
-                             const std::string& default_value) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
-}
-
-bool Flags::GetBool(const std::string& key, bool default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  return it->second == "true" || it->second == "1";
-}
-
 const FlagSpec& Flags::SpecFor(const std::string& key) const {
   for (const FlagSpec& spec : schema_) {
     if (spec.name == key) {
@@ -105,23 +68,42 @@ const FlagSpec& Flags::SpecFor(const std::string& key) const {
   std::abort();  // unreachable: VRD_FATAL_IF threw
 }
 
+std::string Flags::GetString(const std::string& key) const {
+  const FlagSpec& spec = SpecFor(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? spec.default_value : it->second;
+}
+
 std::uint64_t Flags::GetUint(const std::string& key) const {
-  return std::strtoull(
-      GetString(key, SpecFor(key).default_value).c_str(), nullptr, 10);
+  const std::string value = GetString(key);
+  std::uint64_t out = 0;
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, and out-of-range is an error rather than a clamp.
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  VRD_FATAL_IF(value.empty() || ec != std::errc{} || ptr != end,
+               InvalidValue(key, value, "an unsigned integer", schema_));
+  return out;
 }
 
 double Flags::GetDouble(const std::string& key) const {
-  return std::strtod(GetString(key, SpecFor(key).default_value).c_str(),
-                     nullptr);
-}
-
-std::string Flags::GetString(const std::string& key) const {
-  return GetString(key, SpecFor(key).default_value);
+  const std::string value = GetString(key);
+  char* end = nullptr;
+  const double out = std::strtod(value.c_str(), &end);
+  VRD_FATAL_IF(value.empty() || end != value.c_str() + value.size() ||
+                   !std::isfinite(out),
+               InvalidValue(key, value, "a finite number", schema_));
+  return out;
 }
 
 bool Flags::GetBool(const std::string& key) const {
-  const std::string value = GetString(key, SpecFor(key).default_value);
-  return value == "true" || value == "1";
+  const std::string value = GetString(key);
+  if (value == "true" || value == "1") {
+    return true;
+  }
+  VRD_FATAL_IF(value != "false" && value != "0",
+               InvalidValue(key, value, "true, false, 1 or 0", schema_));
+  return false;
 }
 
 std::string Flags::Describe() const { return Describe(schema_); }
@@ -168,17 +150,16 @@ std::vector<std::string> ResolveDevices(const std::string& spec) {
 }
 
 std::size_t ResolveThreads(const Flags& flags) {
-  return static_cast<std::size_t>(flags.GetUint("threads", 0));
+  return static_cast<std::size_t>(flags.GetUint("threads"));
 }
 
 void ApplyResilienceFlags(const Flags& flags,
                           core::CampaignConfig* config) {
-  config->checkpoint_path =
-      flags.GetString("checkpoint", config->checkpoint_path);
-  config->resume = flags.GetBool("resume", config->resume);
-  config->inject = flags.GetString("inject", config->inject);
-  config->max_attempts = static_cast<std::size_t>(
-      flags.GetUint("max_attempts", config->max_attempts));
+  config->checkpoint_path = flags.GetString("checkpoint");
+  config->resume = flags.GetBool("resume");
+  config->inject = flags.GetString("inject");
+  config->max_attempts =
+      static_cast<std::size_t>(flags.GetUint("max_attempts"));
 }
 
 void PrintShardSummary(std::ostream& os,

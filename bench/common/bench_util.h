@@ -32,16 +32,12 @@ struct FlagSpec {
 
 /**
  * Tiny --key=value flag parser. Every experiment documents its knobs
- * through a FlagSpec schema: construction against a schema rejects
- * unknown flags with a FatalError whose message embeds Describe(), so
- * an abort always prints the real schema. The schema-less (argc,
- * argv) form is kept for ad-hoc tools and tests.
+ * through a FlagSpec schema: construction rejects unknown flags, and
+ * the getters reject malformed values, each with a FatalError whose
+ * message embeds Describe(), so an abort always prints the real schema.
  */
 class Flags {
  public:
-  /// Schema-less: accepts any --key=value. Bad syntax exits(2).
-  Flags(int argc, char** argv);
-
   /**
    * Schema-validating: `args` are raw "--key[=value]" tokens. A token
    * without "--", or a key absent from `schema`, raises FatalError
@@ -50,23 +46,18 @@ class Flags {
   Flags(const std::vector<std::string>& args,
         const std::vector<FlagSpec>& schema);
 
-  std::uint64_t GetUint(const std::string& key,
-                        std::uint64_t default_value) const;
-  double GetDouble(const std::string& key, double default_value) const;
-  std::string GetString(const std::string& key,
-                        const std::string& default_value) const;
-  bool GetBool(const std::string& key, bool default_value) const;
-
-  /// Schema-default getters: the fallback is the FlagSpec default.
-  /// Raise FatalError when no schema was given or `key` is not in it
-  /// — an undocumented knob is a bug in the experiment spec.
+  /// Getters fall back to the FlagSpec default. They raise FatalError
+  /// when `key` is not in the schema (an undocumented knob is a bug in
+  /// the experiment spec) or when the value does not parse: GetUint
+  /// takes decimal digits that fit 64 bits, GetDouble a whole finite
+  /// number, GetBool true/false/1/0 (a bare --key means true).
   std::uint64_t GetUint(const std::string& key) const;
   double GetDouble(const std::string& key) const;
   std::string GetString(const std::string& key) const;
   bool GetBool(const std::string& key) const;
 
   /// Human-readable flag schema, one "--name=default  help" line per
-  /// spec. Empty string when constructed without a schema.
+  /// spec. Empty string for an empty schema.
   std::string Describe() const;
   static std::string Describe(const std::vector<FlagSpec>& schema);
 
@@ -82,8 +73,8 @@ class Flags {
 std::vector<std::string> ResolveDevices(const std::string& spec);
 
 /// Resolve the --threads= flag for the parallel campaign executor:
-/// 0 (the default) selects hardware_concurrency, 1 forces the serial
-/// path. Results are bit-identical for every value.
+/// 0 selects hardware_concurrency, 1 forces the serial path. Results
+/// are bit-identical for every value.
 std::size_t ResolveThreads(const Flags& flags);
 
 /**

@@ -10,11 +10,11 @@
  * (bench/common/driver.h) is the only main() over them.
  *
  * The split between `build_campaign` and `analyze` is what lets the
- * driver share measurement work: it resolves the campaign through a
- * `core::CampaignCache` keyed by the result-defining config hash, so
- * experiments whose configs intend the same records (same devices,
- * rows, patterns, temperatures, seed, ...) execute one campaign and
- * fan their analyses out over the cached `CampaignResult`.
+ * driver skip measurement work across runs: with `--cache_dir` it
+ * resolves each campaign through an on-disk `core::CampaignCache`
+ * keyed by the result-defining config hash, so a later run with the
+ * same directory loads the stored `CampaignResult` and only re-runs
+ * `analyze`. No two registered experiments build the same campaign.
  */
 #ifndef VRDDRAM_BENCH_COMMON_EXPERIMENT_H
 #define VRDDRAM_BENCH_COMMON_EXPERIMENT_H

@@ -26,8 +26,8 @@ core::CampaignConfig BuildFig15Campaign(const Flags& flags) {
   config.scan_rows_per_region =
       static_cast<std::size_t>(flags.GetUint("scan"));
   ApplyCampaignExecutionFlags(flags, &config);
-  // Two representative parameter combinations keep the run short; add
-  // more with --patterns (the trend is unchanged).
+  // Two representative data patterns keep the run short (the trend is
+  // unchanged with more); the set is fixed here, not a flag.
   config.patterns = {dram::DataPattern::kCheckered0,
                      dram::DataPattern::kRowstripe1};
   return config;

@@ -112,7 +112,7 @@ BENCHMARK(BM_CampaignThreads)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Raw pool overhead: fan tiny tasks out over the work-stealing pool.
+// Raw pool overhead: fan tiny tasks out over the thread pool.
 void BM_ThreadPoolParallelFor(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::atomic<std::uint64_t> sum{0};

@@ -73,12 +73,6 @@ std::uint64_t Rng::NextBelow(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
-  VRD_ASSERT_MSG(lo <= hi, "NextInRange requires lo <= hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(NextBelow(span));
-}
-
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
@@ -97,12 +91,6 @@ double Rng::NextGaussian() {
   cached_gaussian_ = v * factor;
   has_cached_gaussian_ = true;
   return u * factor;
-}
-
-double Rng::NextExponential(double lambda) {
-  VRD_ASSERT_MSG(lambda > 0.0, "NextExponential requires lambda > 0");
-  // 1 - NextDouble() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - NextDouble()) / lambda;
 }
 
 Rng Rng::Fork(std::string_view label) {

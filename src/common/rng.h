@@ -72,9 +72,6 @@ class Rng {
   /// Uniform integer in [0, bound) using Lemire's method; bound > 0.
   std::uint64_t NextBelow(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with probability p of returning true.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
@@ -90,9 +87,6 @@ class Rng {
   double NextLognormal(double mu, double sigma) {
     return std::exp(NextGaussian(mu, sigma));
   }
-
-  /// Exponential with the given rate (lambda > 0).
-  double NextExponential(double lambda);
 
   /// Fork a child stream; deterministic given this stream's state and
   /// the label, without perturbing this stream's sequence more than

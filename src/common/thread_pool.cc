@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace vrddram {
 
@@ -20,13 +21,9 @@ ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
     workers = DefaultWorkerCount();
   }
-  queues_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -36,7 +33,7 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  // std::jthread joins on destruction.
+  // workers_ (declared last) joins first among the members.
 }
 
 bool ThreadPool::OnWorkerThread() const { return t_current_pool == this; }
@@ -57,82 +54,47 @@ void ThreadPool::ParallelFor(
   }
 
   std::lock_guard<std::mutex> job_lock(job_mutex_);
-  const std::size_t workers = worker_count();
-  // ~8 chunks per worker balances stealing granularity against
-  // per-chunk locking; campaign-style jobs (n < workers) get one
-  // index per chunk.
-  const std::size_t grain =
-      std::max<std::size_t>(1, n / (workers * 8));
-  std::vector<Chunk> chunks;
-  chunks.reserve(n / grain + 1);
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    chunks.push_back(Chunk{begin, std::min(n, begin + grain)});
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    job_ = &fn;
-    pending_ = chunks.size();
-    abort_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
-    error_index_ = ~std::size_t{0};
-  }
-  // Distribute round-robin *before* publishing the unclaimed count so
-  // a woken worker always finds the chunks it was promised.
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    WorkerQueue& queue = *queues_[i % workers];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    queue.chunks.push_back(chunks[i]);
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    unclaimed_.store(chunks.size(), std::memory_order_release);
-  }
+  std::unique_lock<std::mutex> lock(state_mutex_);
+  // ~8 ranges per worker keeps cursor traffic low while still letting
+  // fast workers pick up the slack; campaign-style jobs (n < workers)
+  // get one index per range.
+  job_ = Job{&fn, n, std::max<std::size_t>(1, n / (worker_count() * 8))};
+  cursor_.store(0, std::memory_order_relaxed);
+  abort_.store(false, std::memory_order_relaxed);
+  error_ = nullptr;
+  error_index_ = ~std::size_t{0};
+  ++generation_;
   work_cv_.notify_all();
 
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    done_cv_.wait(lock, [&] { return pending_ == 0; });
-    job_ = nullptr;
-    error = error_;
-    error_ = nullptr;
-  }
+  // Every claimed range belongs to a worker that is still active, so
+  // an exhausted (or aborted) cursor with no active worker means done.
+  done_cv_.wait(lock, [&] {
+    return active_ == 0 &&
+           (abort_.load(std::memory_order_relaxed) ||
+            cursor_.load(std::memory_order_relaxed) >= n);
+  });
+  job_ = Job{};
+  const std::exception_ptr error = std::exchange(error_, nullptr);
+  lock.unlock();
   if (error != nullptr) {
     std::rethrow_exception(error);
   }
 }
 
-bool ThreadPool::TryClaim(std::size_t index, Chunk* out) {
-  const std::size_t workers = queues_.size();
-  for (std::size_t k = 0; k < workers; ++k) {
-    const std::size_t victim = (index + k) % workers;
-    WorkerQueue& queue = *queues_[victim];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.chunks.empty()) {
-      continue;
+void ThreadPool::RunRanges(const Job& job) {
+  while (!abort_.load(std::memory_order_relaxed)) {
+    const std::size_t begin =
+        cursor_.fetch_add(job.grain, std::memory_order_relaxed);
+    if (begin >= job.n) {
+      return;
     }
-    if (victim == index) {
-      *out = queue.chunks.back();
-      queue.chunks.pop_back();
-    } else {
-      *out = queue.chunks.front();
-      queue.chunks.pop_front();
-    }
-    unclaimed_.fetch_sub(1, std::memory_order_acq_rel);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::RunChunk(const Chunk& chunk) {
-  if (!abort_.load(std::memory_order_relaxed)) {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+    const std::size_t end = std::min(job.n, begin + job.grain);
+    for (std::size_t i = begin; i < end; ++i) {
       if (abort_.load(std::memory_order_relaxed)) {
-        break;
+        return;
       }
       try {
-        (*job_)(i);
+        (*job.fn)(i);
       } catch (...) {
         // Keep the exception with the smallest task index, so the
         // caller sees a deterministic winner when several tasks throw
@@ -143,32 +105,32 @@ void ThreadPool::RunChunk(const Chunk& chunk) {
           error_index_ = i;
         }
         abort_.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  if (--pending_ == 0) {
-    done_cv_.notify_all();
-  }
-}
-
-void ThreadPool::WorkerLoop(std::size_t index) {
-  t_current_pool = this;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state_mutex_);
-      work_cv_.wait(lock, [&] {
-        return stopping_ ||
-               unclaimed_.load(std::memory_order_acquire) > 0;
-      });
-      if (stopping_) {
         return;
       }
     }
-    Chunk chunk;
-    while (TryClaim(index, &chunk)) {
-      RunChunk(chunk);
+  }
+}
+
+void ThreadPool::WorkerLoop() {
+  t_current_pool = this;
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(state_mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (stopping_) {
+      return;
+    }
+    seen = generation_;
+    if (job_.fn == nullptr) {
+      continue;  // the job finished before this worker woke
+    }
+    const Job job = job_;
+    ++active_;
+    lock.unlock();
+    RunRanges(job);
+    lock.lock();
+    if (--active_ == 0) {
+      done_cv_.notify_all();
     }
   }
 }

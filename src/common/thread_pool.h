@@ -1,23 +1,23 @@
 /**
  * @file
- * Work-stealing thread pool for the embarrassingly-parallel hot loops
- * of the suite (campaign shards, Monte Carlo resampling, bootstrap
- * chunks).
+ * Thread pool for the embarrassingly-parallel loops of the suite
+ * (campaign shards, the per-N min-RDT analysis split).
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers
  *     shard work into independent index-addressed tasks whose results
  *     land in preallocated slots, so output is bit-identical for any
  *     worker count (including the inline serial fallback).
- *  2. Coarse tasks: campaign shards run for seconds, so per-worker
- *     deques guarded by plain mutexes are plenty; no lock-free
- *     machinery is warranted.
+ *  2. One job at a time, one shared cursor: workers claim contiguous
+ *     index ranges from a single atomic cursor until it passes the
+ *     end. With a single job in flight this balances load as well as
+ *     per-worker queues with stealing would, so there are none.
  *  3. Exceptions propagate deterministically: when tasks throw, the
  *     exception with the smallest index wins — not whichever thread
  *     lost the race — and is rethrown from ParallelFor on the calling
- *     thread; remaining tasks are abandoned (tasks that never started
- *     do not get to compete, so the winner is the canonical-first
- *     among the tasks that actually threw).
+ *     thread; no new task starts after a throw (tasks that never
+ *     started do not get to compete, so the winner is the
+ *     canonical-first among the tasks that actually threw).
  */
 #ifndef VRDDRAM_COMMON_THREAD_POOL_H
 #define VRDDRAM_COMMON_THREAD_POOL_H
@@ -25,10 +25,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,15 +43,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t worker_count() const { return queues_.size(); }
+  std::size_t worker_count() const { return workers_.size(); }
 
   /**
    * Run fn(i) for every i in [0, n) across the workers and block until
-   * all complete. Indices are split into contiguous chunks; each worker
-   * drains its own deque LIFO and steals FIFO from the others when it
-   * runs dry. Rethrows the thrown task exception with the smallest
-   * index. A call from one of this pool's own worker threads runs
-   * inline (serially) instead of deadlocking on the single-job lock.
+   * all complete. Workers claim ranges of max(1, n / (workers * 8))
+   * consecutive indices from a shared cursor. Rethrows the thrown task
+   * exception with the smallest index. Concurrent callers run one
+   * after another. A call from one of this pool's own worker threads
+   * runs inline (serially) instead of deadlocking on the single-job
+   * lock.
    */
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& fn);
@@ -64,40 +64,42 @@ class ThreadPool {
   static std::size_t DefaultWorkerCount();
 
  private:
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;  ///< exclusive
-  };
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Chunk> chunks;
+  /// The published job; `fn` is null between jobs.
+  struct Job {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
+    std::size_t grain = 1;
   };
 
-  void WorkerLoop(std::size_t index);
-  /// Pop from own deque (back) or steal from another (front).
-  bool TryClaim(std::size_t index, Chunk* out);
-  void RunChunk(const Chunk& chunk);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::jthread> workers_;
+  void WorkerLoop();
+  /// Claim and run ranges of `job` until the cursor passes its end or
+  /// a task throws.
+  void RunRanges(const Job& job);
 
   /// Serializes ParallelFor callers: one job at a time.
   std::mutex job_mutex_;
 
   std::mutex state_mutex_;
-  std::condition_variable work_cv_;  ///< workers wait for chunks
+  std::condition_variable work_cv_;  ///< workers wait for a new job
   std::condition_variable done_cv_;  ///< caller waits for completion
   bool stopping_ = false;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  /// Chunks not yet claimed by any worker (wait predicate).
-  std::atomic<std::size_t> unclaimed_{0};
-  /// Chunks not yet fully executed (completion predicate).
-  std::size_t pending_ = 0;
+  Job job_;
+  /// Bumped per published job, so a worker joins each job at most once.
+  std::uint64_t generation_ = 0;
+  /// Next unclaimed index of the current job.
+  std::atomic<std::size_t> cursor_{0};
+  /// Workers inside the current job (completion: zero once the cursor
+  /// is exhausted or a task threw).
+  std::size_t active_ = 0;
   std::atomic<bool> abort_{false};
   std::exception_ptr error_;
   /// Task index that produced error_; the smallest index wins so the
   /// rethrown exception is deterministic under concurrent failures.
   std::size_t error_index_ = 0;
+
+  /// Declared last so the threads join before the state they wait on
+  /// is destroyed.
+  std::vector<std::jthread> workers_;
 };
 
 /**

@@ -77,7 +77,7 @@ struct CampaignConfig {
   /**
    * Worker threads for the campaign executor: the campaign is sharded
    * at (device, temperature) granularity and shards run concurrently
-   * on a work-stealing pool. 0 selects hardware_concurrency, 1 runs
+   * on a thread pool. 0 selects hardware_concurrency, 1 runs
    * the shards inline on the calling thread. Results are bit-identical
    * for every setting: each shard derives all state deterministically
    * from (device name, base_seed) and the merge order is canonical.

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "stats/descriptive.h"
-#include "stats/histogram.h"
 
 namespace vrddram::stats {
 
@@ -209,44 +208,6 @@ GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
     expected[i] = n * std::max(0.0, hi_cdf - lo_cdf);
   }
   return FinishTest(counts, expected, min_expected, mean, stddev);
-}
-
-GoodnessOfFit ChiSquareNormalTest(std::span<const double> xs,
-                                  std::size_t num_bins,
-                                  double min_expected) {
-  VRD_FATAL_IF(xs.size() < 8, "chi-square test needs at least 8 samples");
-  VRD_FATAL_IF(num_bins < 4, "chi-square test needs at least 4 bins");
-
-  GoodnessOfFit out;
-  out.fitted_mean = Mean(xs);
-  out.fitted_stddev = SampleStddev(xs);
-  const auto n = static_cast<double>(xs.size());
-
-  if (out.fitted_stddev == 0.0) {
-    // A degenerate (constant) series trivially "fits" the point mass.
-    out.statistic = 0.0;
-    out.dof = 1;
-    out.p_value = 1.0;
-    out.bins_used = 1;
-    return out;
-  }
-
-  // Equal-probability bins of the fitted normal: each bin expects
-  // n/num_bins samples, so pooling is rarely needed for large n.
-  std::vector<double> observed(num_bins, 0.0);
-  const double inv_prob = 1.0 / static_cast<double>(num_bins);
-  for (double x : xs) {
-    const double z = (x - out.fitted_mean) / out.fitted_stddev;
-    const double u = NormalCdf(z);
-    auto b = static_cast<std::size_t>(u / inv_prob);
-    if (b >= num_bins) {
-      b = num_bins - 1;
-    }
-    observed[b] += 1.0;
-  }
-  const std::vector<double> expected(num_bins, n * inv_prob);
-  return FinishTest(observed, expected, min_expected, out.fitted_mean,
-                    out.fitted_stddev);
 }
 
 }  // namespace vrddram::stats

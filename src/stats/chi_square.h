@@ -40,24 +40,14 @@ struct GoodnessOfFit {
 };
 
 /**
- * Chi-square GOF test of `xs` against N(mean(xs), stddev(xs)).
- *
- * Data is binned into `num_bins` equal-probability bins of the fitted
- * normal; adjacent bins are pooled until every expected count is at
- * least `min_expected` (the usual validity rule). Degrees of freedom
- * are bins - 1 - 2 (two estimated parameters).
- */
-GoodnessOfFit ChiSquareNormalTest(std::span<const double> xs,
-                                  std::size_t num_bins = 20,
-                                  double min_expected = 5.0);
-
-/**
- * Variant matching the paper's §4.1 procedure for the inherently
- * quantized RDT data: bins are the equal-width unique-value bins of
- * the Fig. 4 histogram convention, and expected counts come from the
- * fitted normal's CDF over the bin edges. Use this for discrete /
- * grid-quantized measurements, where equal-probability binning would
- * reject any discrete distribution regardless of its shape.
+ * Chi-square GOF test of `xs` against a normal fitted to its mean and
+ * standard deviation, following the paper's §4.1 procedure for the
+ * inherently quantized RDT data: bins are the equal-width unique-value
+ * bins of the Fig. 4 histogram convention, and expected counts come
+ * from the fitted normal's CDF over the bin edges. Adjacent bins are
+ * pooled until every expected count is at least `min_expected`.
+ * (Equal-probability binning would reject any discrete distribution
+ * regardless of its shape.)
  */
 GoodnessOfFit ChiSquareNormalTestBinned(std::span<const double> xs,
                                         double min_expected = 5.0);

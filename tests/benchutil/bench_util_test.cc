@@ -2,39 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 
 namespace vrddram::bench {
 namespace {
 
-Flags MakeFlags(std::vector<std::string> args) {
-  std::vector<char*> argv = {const_cast<char*>("bench")};
-  for (std::string& arg : args) {
-    argv.push_back(arg.data());
-  }
-  return Flags(static_cast<int>(argv.size()), argv.data());
-}
+const std::vector<FlagSpec> kSchema = {
+    {"rows", "7", "victim rows"},
+    {"ber", "1.5", "bit error rate"},
+    {"device", "H1", "device name"},
+    {"rig", "true", "use the rig"},
+    {"full", "false", "full scale"},
+};
 
-TEST(FlagsTest, DefaultsWhenAbsent) {
-  const Flags flags = MakeFlags({});
-  EXPECT_EQ(flags.GetUint("rows", 7), 7u);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("ber", 1.5), 1.5);
-  EXPECT_EQ(flags.GetString("device", "H1"), "H1");
-  EXPECT_TRUE(flags.GetBool("rig", true));
+Flags MakeFlags(const std::vector<std::string>& args) {
+  return Flags(args, kSchema);
 }
 
 TEST(FlagsTest, ParsesKeyValuePairs) {
   const Flags flags = MakeFlags(
       {"--rows=42", "--ber=0.25", "--device=M3", "--rig=false"});
-  EXPECT_EQ(flags.GetUint("rows", 0), 42u);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("ber", 0.0), 0.25);
-  EXPECT_EQ(flags.GetString("device", ""), "M3");
-  EXPECT_FALSE(flags.GetBool("rig", true));
+  EXPECT_EQ(flags.GetUint("rows"), 42u);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("ber"), 0.25);
+  EXPECT_EQ(flags.GetString("device"), "M3");
+  EXPECT_FALSE(flags.GetBool("rig"));
+  EXPECT_EQ(MakeFlags({"--rows=18446744073709551615"}).GetUint("rows"),
+            18446744073709551615u);
+  EXPECT_DOUBLE_EQ(MakeFlags({"--ber=1e-3"}).GetDouble("ber"), 1e-3);
+  EXPECT_TRUE(MakeFlags({"--rig=1"}).GetBool("rig"));
+  EXPECT_FALSE(MakeFlags({"--rig=0"}).GetBool("rig"));
 }
 
 TEST(FlagsTest, BareFlagIsTrue) {
   const Flags flags = MakeFlags({"--full"});
-  EXPECT_TRUE(flags.GetBool("full", false));
+  EXPECT_TRUE(flags.GetBool("full"));
+}
+
+// A malformed value must never be truncated to its numeric prefix or
+// wrap around: every getter rejects it with the flag, the value and
+// the schema in the message.
+TEST(FlagsTest, MalformedValuesThrowNamingFlagAndValue) {
+  for (const std::string value :
+       {"-1", "3x", "12abc", "", "+5", " 5", "1.5", "18446744073709551616"}) {
+    const Flags flags = MakeFlags({"--rows=" + value});
+    try {
+      flags.GetUint("rows");
+      ADD_FAILURE() << "accepted --rows=" << value;
+    } catch (const FatalError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("flag --rows: invalid value '" + value + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("victim rows"), std::string::npos) << what;
+    }
+  }
+  for (const std::string value : {"0.5x", "", "nan", "inf", "1e999"}) {
+    EXPECT_THROW(MakeFlags({"--ber=" + value}).GetDouble("ber"), FatalError)
+        << value;
+  }
+  for (const std::string value : {"yes", "", "TRUE", "2"}) {
+    EXPECT_THROW(MakeFlags({"--rig=" + value}).GetBool("rig"), FatalError)
+        << value;
+  }
 }
 
 TEST(DevicesTest, ResolvesAliases) {

@@ -71,6 +71,24 @@ TEST(DriverTest, UnknownForwardedFlagAbortsWithTheRealSchema) {
   EXPECT_NE(run.err.find("victim rows per device"), std::string::npos);
 }
 
+TEST(DriverTest, MalformedNumericFlagExitsTwoNamingTheFlag) {
+  // A negative count must not wrap to 2^64 - 1 (and abort in
+  // reserve()), and a trailing suffix must not be dropped.
+  for (const std::string flag :
+       {"--measurements=-1", "--rows=3x", "--measurements=12abc"}) {
+    const DriverRun run = Drive(
+        {"run", "fig09_density_die_rev", "--smoke", "--no-cache", flag});
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    const std::string key = flag.substr(0, flag.find('='));
+    const std::string value = flag.substr(flag.find('=') + 1);
+    EXPECT_NE(run.err.find("flag " + key + ": invalid value '" + value),
+              std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find("victim rows per device"), std::string::npos)
+        << run.err;
+  }
+}
+
 TEST(DriverTest, RunRequiresNamesOrAllButNotBoth) {
   EXPECT_EQ(Drive({"run"}).exit_code, 2);
   EXPECT_EQ(Drive({"run", "--all", "fig01_rdt_series"}).exit_code, 2);

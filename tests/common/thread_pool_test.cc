@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace vrddram {
@@ -72,6 +73,49 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   std::atomic<int> calls{0};
   pool.ParallelFor(8, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(ThreadPoolTest, CleanJobsAfterAThrowRunEveryIndex) {
+  // A throw midway abandons the rest of its job; none of that state
+  // may leak into the jobs that follow on the same pool.
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.ParallelFor(1000,
+                                [&](std::size_t i) {
+                                  if (i == 500) {
+                                    throw std::runtime_error("midway");
+                                  }
+                                }),
+               std::runtime_error);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> hits(257);
+    pool.ParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersBothComplete) {
+  // Two non-worker threads share one pool: their jobs run one after
+  // the other, and each job runs every one of its indices exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 3000;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  auto caller = [&](std::vector<std::atomic<int>>* hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.ParallelFor(kN, [&](std::size_t i) { (*hits)[i].fetch_add(1); });
+    }
+  };
+  {
+    std::jthread a(caller, &hits_a);
+    std::jthread b(caller, &hits_b);
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits_a[i].load(), kRounds) << "index " << i;
+    ASSERT_EQ(hits_b[i].load(), kRounds) << "index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, SmallestIndexExceptionWinsDeterministically) {

@@ -86,7 +86,9 @@ TEST_F(TrapEngineTest, NoFlipsWithoutDose) {
   ctx.data = data;
   ctx.encoding = &encoding_;
   ctx.now = 0;
-  EXPECT_TRUE(engine_.EvaluateToVector(ctx).empty());
+  std::vector<dram::BitFlip> flips;
+  engine_.Evaluate(ctx, flips);
+  EXPECT_TRUE(flips.empty());
 }
 
 TEST_F(TrapEngineTest, EnoughHammersFlipAndRestoreClears) {
@@ -106,11 +108,14 @@ TEST_F(TrapEngineTest, EnoughHammersFlipAndRestoreClears) {
   ctx.data = victim_data;
   ctx.encoding = &encoding_;
   ctx.now = 1000;
-  EXPECT_FALSE(engine_.EvaluateToVector(ctx).empty());
+  std::vector<dram::BitFlip> flips;
+  engine_.Evaluate(ctx, flips);
+  EXPECT_FALSE(flips.empty());
 
   engine_.OnRestore(0, row, 2000);
   ctx.now = 2000;
-  EXPECT_TRUE(engine_.EvaluateToVector(ctx).empty());
+  engine_.Evaluate(ctx, flips);
+  EXPECT_TRUE(flips.empty());
 }
 
 TEST_F(TrapEngineTest, AnalyticThresholdMatchesDoseEvaluation) {
@@ -136,7 +141,9 @@ TEST_F(TrapEngineTest, AnalyticThresholdMatchesDoseEvaluation) {
     ctx.data = victim_data;
     ctx.encoding = &encoding_;
     ctx.now = 0;
-    return !fresh.EvaluateToVector(ctx).empty();
+    std::vector<dram::BitFlip> flips;
+    fresh.Evaluate(ctx, flips);
+    return !flips.empty();
   };
 
   EXPECT_FALSE(hammer_and_check(static_cast<std::uint64_t>(hc * 0.98)));
@@ -189,7 +196,9 @@ TEST_F(TrapEngineTest, DistanceTwoCouplingIsMuchWeaker) {
   ctx.data = victim_data;
   ctx.encoding = &encoding_;
   ctx.now = 0;
-  EXPECT_TRUE(fresh.EvaluateToVector(ctx).empty());
+  std::vector<dram::BitFlip> flips;
+  fresh.Evaluate(ctx, flips);
+  EXPECT_TRUE(flips.empty());
 }
 
 TEST_F(TrapEngineTest, DeterministicProfileYieldsConstantSamples) {
