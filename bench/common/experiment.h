@@ -5,9 +5,10 @@
  * Each figure or table of the paper is one `ExperimentSpec`: a name,
  * a one-line description, the flag schema with defaults, an optional
  * campaign builder, and an analysis function that renders the tables
- * and CHECK lines. Specs live in `bench/experiments/*.cc` and
- * self-register at static-initialization time; the `vrdrepro` driver
- * (bench/common/driver.h) is the only main() over them.
+ * and CHECK lines. Specs live in one file each under
+ * `bench/experiments/` and self-register at static-initialization
+ * time; the `vrdrepro` driver (bench/common/driver.h) is the only
+ * main() over them.
  *
  * The split between `build_campaign` and `analyze` is what lets the
  * driver skip measurement work across runs: with `--cache_dir` it

@@ -10,7 +10,6 @@
  */
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "common/experiment.h"
 #include "core/min_rdt_mc.h"
@@ -48,24 +47,14 @@ void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
   PrintShardSummary(out, result);
   Rng rng(config.base_seed ^ 0xf18);
 
-  // The Monte Carlo stage reuses the campaign's thread setting; the
-  // per-N fan-out inside AnalyzeRowSeries is deterministic either way.
-  std::unique_ptr<ThreadPool> pool;
-  if (config.threads != 1) {
-    pool = std::make_unique<ThreadPool>(config.threads);
-  }
-
   std::vector<std::vector<double>> prob_by_n(
       settings.sample_sizes.size());
   std::vector<std::vector<double>> norm_by_n(
       settings.sample_sizes.size());
-  // Hoisted result + scratch: the per-record Monte Carlo loop reuses
-  // one set of buffers instead of reallocating per series.
-  core::RowMinRdtResult mc;
-  core::MinRdtScratch mc_scratch;
-  for (const core::SeriesRecord& record : result.records) {
-    core::AnalyzeRowSeries(record.series, settings, rng, mc, mc_scratch,
-                           pool.get());
+  // The Monte Carlo stage reuses the campaign's thread setting; the
+  // rows × N fan-out inside AnalyzeRows is deterministic either way.
+  for (const core::RowMinRdtResult& mc :
+       core::AnalyzeRows(result.records, settings, rng, config.threads)) {
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       prob_by_n[i].push_back(mc.per_n[i].prob_find_min);
       norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);

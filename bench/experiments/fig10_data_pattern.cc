@@ -50,9 +50,11 @@ void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
   std::map<std::string,
            std::map<dram::DataPattern, std::vector<std::vector<double>>>>
       groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+  const std::vector<core::RowMinRdtResult> mc_rows =
+      core::AnalyzeRows(result.records, settings, rng, config.threads);
+  for (std::size_t r = 0; r < result.records.size(); ++r) {
+    const core::SeriesRecord& record = result.records[r];
+    const core::RowMinRdtResult& mc = mc_rows[r];
     auto& per_pattern =
         groups[ManufacturerGroupName(record)][record.pattern];
     if (per_pattern.empty()) {

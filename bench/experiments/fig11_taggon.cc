@@ -50,9 +50,11 @@ void AnalyzeFig11(const core::CampaignResult& result, Report* report) {
   std::map<std::string,
            std::map<core::TOnChoice, std::vector<std::vector<double>>>>
       groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+  const std::vector<core::RowMinRdtResult> mc_rows =
+      core::AnalyzeRows(result.records, settings, rng, config.threads);
+  for (std::size_t r = 0; r < result.records.size(); ++r) {
+    const core::SeriesRecord& record = result.records[r];
+    const core::RowMinRdtResult& mc = mc_rows[r];
     auto& per_ton = groups[ManufacturerGroupName(record)][record.t_on];
     if (per_ton.empty()) {
       per_ton.resize(settings.sample_sizes.size());

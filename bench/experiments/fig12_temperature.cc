@@ -51,9 +51,11 @@ void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
   Rng rng(config.base_seed ^ 0xf1c);
 
   std::map<std::string, std::map<int, std::vector<double>>> groups;
-  for (const core::SeriesRecord& record : result.records) {
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+  const std::vector<core::RowMinRdtResult> mc_rows =
+      core::AnalyzeRows(result.records, settings, rng, config.threads);
+  for (std::size_t r = 0; r < result.records.size(); ++r) {
+    const core::SeriesRecord& record = result.records[r];
+    const core::RowMinRdtResult& mc = mc_rows[r];
     groups[record.device][static_cast<int>(record.temperature)]
         .push_back(mc.per_n[0].expected_norm_min);
   }

@@ -51,13 +51,15 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
     std::int64_t min_rdt_trefi = -1;
   };
   std::map<std::string, ModuleAgg> modules;
-  for (const core::SeriesRecord& record : result.records) {
+  const std::vector<core::RowMinRdtResult> mc_rows =
+      core::AnalyzeRows(result.records, settings, rng, config.threads);
+  for (std::size_t r = 0; r < result.records.size(); ++r) {
+    const core::SeriesRecord& record = result.records[r];
     ModuleAgg& agg = modules[record.device];
     if (agg.norm_by_n.empty()) {
       agg.norm_by_n.resize(settings.sample_sizes.size());
     }
-    const core::RowMinRdtResult mc =
-        core::AnalyzeRowSeries(record.series, settings, rng);
+    const core::RowMinRdtResult& mc = mc_rows[r];
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       agg.norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
     }

@@ -1,16 +1,6 @@
 #include "common/rng.h"
 
-#include "common/error.h"
-
 namespace vrddram {
-
-namespace {
-
-constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t HashLabel(std::uint64_t base_seed, std::string_view label) {
   // FNV-1a over the label bytes, then mixed with the base seed through
@@ -39,38 +29,9 @@ void Rng::Reseed(std::uint64_t seed) {
   has_cached_gaussian_ = false;
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> uniform in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::NextBelow(std::uint64_t bound) {
-  VRD_ASSERT_MSG(bound > 0, "NextBelow requires bound > 0");
-  // Lemire's nearly-divisionless bounded sampling.
-  std::uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Rng::NextGaussian() {

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/error.h"
+
 namespace vrddram {
 
 /// SplitMix64 step; used for seeding and for label hashing.
@@ -64,13 +66,40 @@ class Rng {
   /// Next raw 64-bit output.
   std::uint64_t operator()() { return Next(); }
 
-  std::uint64_t Next();
+  /// Defined inline (as is NextBelow): the min-RDT resampling kernel
+  /// makes one NextBelow call per draw, billions per reproduction run.
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
 
   /// Uniform integer in [0, bound) using Lemire's method; bound > 0.
-  std::uint64_t NextBelow(std::uint64_t bound);
+  std::uint64_t NextBelow(std::uint64_t bound) {
+    VRD_ASSERT_MSG(bound > 0, "NextBelow requires bound > 0");
+    // Lemire's nearly-divisionless bounded sampling.
+    std::uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with probability p of returning true.
   bool NextBernoulli(double p) { return NextDouble() < p; }
@@ -94,6 +123,10 @@ class Rng {
   Rng Fork(std::string_view label);
 
  private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

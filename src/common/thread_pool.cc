@@ -1,7 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <sstream>
 #include <utility>
+
+#include "common/error.h"
 
 namespace vrddram {
 
@@ -17,13 +20,33 @@ std::size_t ThreadPool::DefaultWorkerCount() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
+std::size_t ThreadPool::WorkersFor(std::size_t threads, std::size_t tasks) {
+  return std::min(threads == 0 ? DefaultWorkerCount() : threads, tasks);
+}
+
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
     workers = DefaultWorkerCount();
   }
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  try {
+    workers_.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (const std::exception& e) {
+    // The destructor does not run for a half-built pool: stop and join
+    // the workers that did start before reporting the failure.
+    const std::size_t started = workers_.size();
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      stopping_ = true;
+    }
+    work_cv_.notify_all();
+    workers_.clear();
+    std::ostringstream msg;
+    msg << "cannot start a thread pool of " << workers
+        << " worker threads (started " << started << "): " << e.what();
+    throw FatalError(msg.str());
   }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Thread pool for the embarrassingly-parallel loops of the suite
- * (campaign shards, the per-N min-RDT analysis split).
+ * (campaign shards, the rows × N min-RDT analysis fan-out).
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers
@@ -36,7 +36,9 @@ namespace vrddram {
 
 class ThreadPool {
  public:
-  /// `workers` = 0 selects DefaultWorkerCount().
+  /// `workers` = 0 selects DefaultWorkerCount(). Throws FatalError,
+  /// naming `workers`, when the threads cannot all be started (the
+  /// ones that did start are joined first).
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 
@@ -62,6 +64,11 @@ class ThreadPool {
 
   /// max(1, std::thread::hardware_concurrency()).
   static std::size_t DefaultWorkerCount();
+
+  /// Workers worth starting for a job of `tasks` tasks when `threads`
+  /// are requested (0 = DefaultWorkerCount()): never more than the
+  /// tasks. A result of at most 1 means "run inline, no pool".
+  static std::size_t WorkersFor(std::size_t threads, std::size_t tasks);
 
  private:
   /// The published job; `fn` is null between jobs.

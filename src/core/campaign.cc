@@ -398,10 +398,8 @@ CampaignResult RunCampaign(const CampaignConfig& config,
     *progress << line.str();
   };
 
-  const std::size_t threads =
-      config.threads == 0 ? ThreadPool::DefaultWorkerCount()
-                          : config.threads;
-  const std::size_t workers = std::min(threads, shards.size());
+  const std::size_t workers =
+      ThreadPool::WorkersFor(config.threads, shards.size());
   if (workers > 1) {
     ThreadPool pool(workers);
     pool.ParallelFor(shards.size(), run_one);

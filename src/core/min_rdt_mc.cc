@@ -1,10 +1,104 @@
 #include "core/min_rdt_mc.h"
 
+#include <optional>
 #include <string>
 
 #include "common/error.h"
 
 namespace vrddram::core {
+
+namespace {
+
+/**
+ * The filter/fork/task code behind every entry point. Filters each
+ * series and forks its per-N streams serially in series order, then
+ * runs one ParallelFor over series × sample sizes; task t analyzes
+ * series t / K with sample size t % K (K sample sizes) and writes only
+ * its own slot of `out`.
+ */
+void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
+                  const MinRdtSettings& settings, Rng& rng,
+                  std::span<RowMinRdtResult> out, MinRdtScratch& scratch,
+                  ThreadPool* pool) {
+  // Fork labels depend only on the sample-size list; cache them so a
+  // hoisted scratch builds the strings once per settings shape.
+  if (scratch.labeled_sizes != settings.sample_sizes) {
+    scratch.labels.clear();
+    scratch.labels.reserve(settings.sample_sizes.size());
+    for (const std::size_t n : settings.sample_sizes) {
+      scratch.labels.push_back("minrdt/n=" + std::to_string(n));
+    }
+    scratch.labeled_sizes = settings.sample_sizes;
+  }
+
+  std::size_t total = 0;
+  for (const std::span<const std::int64_t> s : series) {
+    total += s.size();
+  }
+  std::vector<std::int64_t>& valid = scratch.valid;
+  valid.clear();
+  valid.reserve(total);
+  scratch.row_end.clear();
+  scratch.row_end.reserve(series.size());
+  // Fork every task's stream up front (series order, then N order) so
+  // the fan-out below never shares a generator, and the output does
+  // not depend on the worker count.
+  std::vector<Rng>& streams = scratch.streams;
+  streams.clear();
+  streams.reserve(series.size() * scratch.labels.size());
+  for (const std::span<const std::int64_t> s : series) {
+    const std::size_t begin = valid.size();
+    for (const std::int64_t v : s) {
+      if (v >= 0) {
+        valid.push_back(v);
+      }
+    }
+    VRD_FATAL_IF(valid.size() == begin,
+                 "series has no flipping measurements");
+    scratch.row_end.push_back(valid.size());
+    for (const std::string& label : scratch.labels) {
+      streams.push_back(rng.Fork(label));
+    }
+  }
+
+  const std::size_t sizes = settings.sample_sizes.size();
+  for (RowMinRdtResult& result : out) {
+    result.per_n.resize(sizes);
+  }
+  ParallelFor(pool, streams.size(), [&](std::size_t task) {
+    const std::size_t row = task / sizes;
+    const std::size_t i = task % sizes;
+    const std::size_t begin = row == 0 ? 0 : scratch.row_end[row - 1];
+    const std::span<const std::int64_t> row_valid(
+        valid.data() + begin, scratch.row_end[row] - begin);
+    out[row].per_n[i] = stats::SampleMinStatistics(
+        row_valid, settings.sample_sizes[i], settings.iterations,
+        streams[task], settings.margins);
+  });
+}
+
+}  // namespace
+
+std::vector<RowMinRdtResult> AnalyzeRows(
+    std::span<const SeriesRecord> records, const MinRdtSettings& settings,
+    Rng& rng, std::size_t threads) {
+  std::vector<std::span<const std::int64_t>> series;
+  series.reserve(records.size());
+  for (const SeriesRecord& record : records) {
+    series.emplace_back(record.series);
+  }
+  std::vector<RowMinRdtResult> out(records.size());
+  MinRdtScratch scratch;
+  std::optional<ThreadPool> pool;
+  const std::size_t workers = ThreadPool::WorkersFor(
+      threads, records.size() * settings.sample_sizes.size());
+  if (workers > 1) {
+    pool.emplace(workers);
+  }
+  AnalyzeBatch(series, settings, rng, out, scratch,
+               pool ? &*pool : nullptr);
+  return out;
+}
 
 RowMinRdtResult AnalyzeRowSeries(std::span<const std::int64_t> series,
                                  const MinRdtSettings& settings,
@@ -19,43 +113,7 @@ void AnalyzeRowSeries(std::span<const std::int64_t> series,
                       const MinRdtSettings& settings, Rng& rng,
                       RowMinRdtResult& out, MinRdtScratch& scratch,
                       ThreadPool* pool) {
-  std::vector<std::int64_t>& valid = scratch.valid;
-  valid.clear();
-  valid.reserve(series.size());
-  for (const std::int64_t v : series) {
-    if (v >= 0) {
-      valid.push_back(v);
-    }
-  }
-  VRD_FATAL_IF(valid.empty(), "series has no flipping measurements");
-
-  // Fork labels depend only on the sample-size list; cache them so a
-  // hoisted scratch builds the strings once per settings shape.
-  if (scratch.labeled_sizes != settings.sample_sizes) {
-    scratch.labels.clear();
-    scratch.labels.reserve(settings.sample_sizes.size());
-    for (const std::size_t n : settings.sample_sizes) {
-      scratch.labels.push_back("minrdt/n=" + std::to_string(n));
-    }
-    scratch.labeled_sizes = settings.sample_sizes;
-  }
-
-  // Fork one stream per sample size up front (in N order) so every
-  // task draws from its own RNG: the fan-out below never shares a
-  // generator, and the output does not depend on the worker count.
-  std::vector<Rng>& streams = scratch.streams;
-  streams.clear();
-  streams.reserve(settings.sample_sizes.size());
-  for (const std::string& label : scratch.labels) {
-    streams.push_back(rng.Fork(label));
-  }
-
-  out.per_n.resize(settings.sample_sizes.size());
-  ParallelFor(pool, settings.sample_sizes.size(), [&](std::size_t i) {
-    out.per_n[i] = stats::SampleMinStatistics(
-        valid, settings.sample_sizes[i], settings.iterations, streams[i],
-        settings.margins);
-  });
+  AnalyzeBatch({&series, 1}, settings, rng, {&out, 1}, scratch, pool);
 }
 
 }  // namespace vrddram::core

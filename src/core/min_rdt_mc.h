@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/campaign.h"
 #include "stats/monte_carlo.h"
 
 namespace vrddram::core {
@@ -35,33 +36,52 @@ struct RowMinRdtResult {
 };
 
 /**
- * Resample one series (kNoFlip sentinels removed) for each configured
- * N. The caller supplies the RNG so campaigns stay deterministic: one
- * child stream is forked per sample size (in order, before any work is
- * dispatched), so the result is bit-identical whether the per-N
- * resampling runs inline (`pool` null) or fanned out across workers.
+ * Resample every record's series (kNoFlip sentinels removed) for each
+ * configured N, returning one result per record in record order.
+ *
+ * Two steps. Serially, in record order, each series is filtered (a
+ * series with no flipping measurement throws FatalError) and one child
+ * stream "minrdt/n=<N>" is forked from `rng` per sample size, in N
+ * order. Then one ParallelFor runs the records × sample-size tasks,
+ * each drawing from its own stream and writing its own slot, so the
+ * results and `rng`'s final state are bit-identical to a per-record
+ * AnalyzeRowSeries loop at any `threads`. `threads` follows
+ * CampaignConfig::threads (0 = all hardware threads, 1 = inline); the
+ * pool is capped at the task count.
+ */
+std::vector<RowMinRdtResult> AnalyzeRows(
+    std::span<const SeriesRecord> records, const MinRdtSettings& settings,
+    Rng& rng, std::size_t threads);
+
+/**
+ * The one-series case of AnalyzeRows, through the same filter/fork/task
+ * code: the per-N tasks run on `pool` when it is given, inline
+ * otherwise, with identical results either way.
  */
 RowMinRdtResult AnalyzeRowSeries(std::span<const std::int64_t> series,
                                  const MinRdtSettings& settings, Rng& rng,
                                  ThreadPool* pool = nullptr);
 
 /**
- * Reusable working storage for AnalyzeRowSeries: the filtered series,
- * the per-N child streams, and the fork labels (cached per sample-size
- * list, so repeated calls build no strings). Hoist one instance across
- * a record loop and the analysis stops allocating once every buffer
- * reaches its high-water capacity.
+ * Reusable working storage for the min-RDT analysis: the filtered
+ * series (concatenated, one `row_end` offset per series), the per-task
+ * child streams, and the fork labels (cached per sample-size list, so
+ * repeated calls build no strings). Hoist one instance across a record
+ * loop and AnalyzeRowSeries stops allocating once every buffer reaches
+ * its high-water capacity.
  */
 struct MinRdtScratch {
   std::vector<std::int64_t> valid;
-  std::vector<Rng> streams;
+  std::vector<std::size_t> row_end;  ///< end of each series in `valid`
+  std::vector<Rng> streams;          ///< series-major, then N order
   std::vector<std::string> labels;
   std::vector<std::size_t> labeled_sizes;  ///< sample sizes labels match
 };
 
-/// Scratch overload: identical results to the value-returning form
-/// (same filtering, same fork order, same per-N statistics), writing
-/// into `out` and drawing working storage from `scratch`.
+/// Scratch overload, kept for callers that hoist their buffers across a
+/// record loop (the perfbench min-RDT probe): identical results to the
+/// value-returning form, writing into `out` and drawing working storage
+/// from `scratch`.
 void AnalyzeRowSeries(std::span<const std::int64_t> series,
                       const MinRdtSettings& settings, Rng& rng,
                       RowMinRdtResult& out, MinRdtScratch& scratch,

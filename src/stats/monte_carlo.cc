@@ -27,6 +27,12 @@ MinSampleResult SampleMinStatistics(std::span<const std::int64_t> series,
   std::uint64_t hits = 0;
   double norm_min_sum = 0.0;
   std::vector<std::uint64_t> margin_hits(margins.size(), 0);
+  // Each margin's limit is the same double on every iteration; compute
+  // it once.
+  std::vector<double> limits(margins.size());
+  for (std::size_t m = 0; m < margins.size(); ++m) {
+    limits[m] = (1.0 + margins[m]) * static_cast<double>(series_min);
+  }
 
   for (std::size_t it = 0; it < iterations; ++it) {
     std::int64_t draw_min = series[rng.NextBelow(series.size())];
@@ -39,9 +45,7 @@ MinSampleResult SampleMinStatistics(std::span<const std::int64_t> series,
     norm_min_sum += static_cast<double>(draw_min) /
                     static_cast<double>(series_min);
     for (std::size_t m = 0; m < margins.size(); ++m) {
-      const double limit =
-          (1.0 + margins[m]) * static_cast<double>(series_min);
-      if (static_cast<double>(draw_min) <= limit) {
+      if (static_cast<double>(draw_min) <= limits[m]) {
         ++margin_hits[m];
       }
     }

@@ -89,6 +89,22 @@ TEST(DriverTest, MalformedNumericFlagExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(DriverTest, HugeThreadCountRunsMinRdtExperiment) {
+  // Every pool is capped at its task count, so a --threads far beyond
+  // what the host can start still runs, with the --threads=1 report.
+  const std::vector<std::string> base = {
+      "run", "fig08_min_rdt_probability", "--smoke", "--no-cache"};
+  std::vector<std::string> serial_args = base;
+  serial_args.push_back("--threads=1");
+  std::vector<std::string> huge_args = base;
+  huge_args.push_back("--threads=100000");
+  const DriverRun serial = Drive(serial_args);
+  const DriverRun huge = Drive(huge_args);
+  ASSERT_EQ(serial.exit_code, 0) << serial.err;
+  ASSERT_EQ(huge.exit_code, 0) << huge.err;
+  EXPECT_EQ(huge.out, serial.out);
+}
+
 TEST(DriverTest, RunRequiresNamesOrAllButNotBoth) {
   EXPECT_EQ(Drive({"run"}).exit_code, 2);
   EXPECT_EQ(Drive({"run", "--all", "fig01_rdt_series"}).exit_code, 2);

@@ -20,6 +20,53 @@ TEST(RngTest, SameSeedSameSequence) {
   }
 }
 
+// Known answers recorded from the generator before Next/NextBelow were
+// made inline: any change to the sequence, the Lemire rejection loop or
+// the fork derivation shows up here, not only as a report diff.
+TEST(RngTest, KnownAnswerNext) {
+  Rng rng(2025);
+  EXPECT_EQ(rng.Next(), 0xc9fcbf65c046112full);
+  EXPECT_EQ(rng.Next(), 0x7b7b3399e150a198ull);
+  EXPECT_EQ(rng.Next(), 0x68f6f146f11e19c1ull);
+  EXPECT_EQ(rng.Next(), 0x8f605909bbb633b2ull);
+}
+
+TEST(RngTest, KnownAnswerNextBelowSmallBound) {
+  Rng rng(2025);
+  for (const std::uint64_t expected : {5u, 3u, 2u, 3u, 6u, 1u}) {
+    EXPECT_EQ(rng.NextBelow(7), expected);
+  }
+}
+
+TEST(RngTest, KnownAnswerNextBelowRejectsAboutHalf) {
+  // With bound 2^63 + 1, Lemire's method rejects a raw draw with
+  // probability just under 1/2: these six outputs consume eleven raw
+  // draws, so the next raw output is the stream's twelfth.
+  Rng rng(2025);
+  const std::uint64_t bound = (1ull << 63) + 1;
+  for (const std::uint64_t expected :
+       {0x347b78a3788f0ce0ull, 0x47b02c84dddb19d9ull, 0x7b0bf08f8f942873ull,
+        0x1e038a6afa17bfe4ull, 0x3836aa49aa44efe4ull,
+        0x10a8d26791bd67ddull}) {
+    EXPECT_EQ(rng.NextBelow(bound), expected);
+  }
+  EXPECT_EQ(rng.Next(), 0x6ad8b95b7d9b8600ull);
+  Rng raw(2025);
+  for (int i = 0; i < 11; ++i) {
+    raw.Next();
+  }
+  EXPECT_EQ(raw.Next(), 0x6ad8b95b7d9b8600ull);
+}
+
+TEST(RngTest, KnownAnswerFork) {
+  Rng parent(2025);
+  Rng child = parent.Fork("minrdt/n=1");
+  EXPECT_EQ(child.Next(), 0x1e2ae113666d95caull);
+  EXPECT_EQ(child.Next(), 0x3ceb46ae25f65083ull);
+  // Forking consumed exactly one parent draw.
+  EXPECT_EQ(parent.Next(), 0x7b7b3399e150a198ull);
+}
+
 TEST(RngTest, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/error.h"
 
 namespace vrddram {
 namespace {
@@ -156,6 +159,27 @@ TEST(ThreadPoolTest, DefaultWorkerCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultWorkerCount(), 1u);
   ThreadPool pool;  // workers = 0 -> DefaultWorkerCount()
   EXPECT_EQ(pool.worker_count(), ThreadPool::DefaultWorkerCount());
+}
+
+TEST(ThreadPoolTest, UnstartablePoolThrowsFatalNamingTheCount) {
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  try {
+    ThreadPool pool(huge);
+    FAIL() << "expected FatalError";
+  } catch (const FatalError& error) {
+    EXPECT_NE(std::string(error.what()).find(std::to_string(huge)),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ThreadPoolTest, WorkersForCapsAtTheTaskCount) {
+  EXPECT_EQ(ThreadPool::WorkersFor(100000, 36), 36u);
+  EXPECT_EQ(ThreadPool::WorkersFor(4, 36), 4u);
+  EXPECT_EQ(ThreadPool::WorkersFor(1, 36), 1u);
+  EXPECT_EQ(ThreadPool::WorkersFor(8, 0), 0u);
+  EXPECT_EQ(ThreadPool::WorkersFor(0, 100000),
+            ThreadPool::DefaultWorkerCount());
 }
 
 TEST(ThreadPoolTest, FreeFunctionFallsBackInline) {

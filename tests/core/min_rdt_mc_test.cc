@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/error.h"
+#include "core/campaign.h"
 
 namespace vrddram::core {
 namespace {
@@ -73,6 +75,100 @@ TEST(MinRdtMcTest, AllSentinelsThrow) {
   MinRdtSettings settings;
   Rng rng(8);
   EXPECT_THROW(AnalyzeRowSeries(series, settings, rng), FatalError);
+}
+
+/// A small multi-device campaign's records; one series carries kNoFlip
+/// sentinels so the filter step has something to drop.
+std::vector<SeriesRecord> SmallCampaignRecords() {
+  CampaignConfig config;
+  config.devices = {"M1", "S2"};
+  config.rows_per_device = 3;
+  config.measurements = 40;
+  config.scan_rows_per_region = 32;
+  std::vector<SeriesRecord> records = RunCampaign(config).records;
+  EXPECT_GE(records.size(), 4u);
+  records[1].series[0] = kNoFlip;
+  records[1].series[7] = kNoFlip;
+  return records;
+}
+
+void ExpectBitEqual(const RowMinRdtResult& a, const RowMinRdtResult& b) {
+  ASSERT_EQ(a.per_n.size(), b.per_n.size());
+  for (std::size_t i = 0; i < a.per_n.size(); ++i) {
+    const stats::MinSampleResult& x = a.per_n[i];
+    const stats::MinSampleResult& y = b.per_n[i];
+    EXPECT_EQ(x.sample_size, y.sample_size);
+    EXPECT_EQ(x.iterations, y.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.prob_find_min),
+              std::bit_cast<std::uint64_t>(y.prob_find_min));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.expected_norm_min),
+              std::bit_cast<std::uint64_t>(y.expected_norm_min));
+    ASSERT_EQ(x.prob_within_margin.size(), y.prob_within_margin.size());
+    for (std::size_t m = 0; m < x.prob_within_margin.size(); ++m) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x.prob_within_margin[m]),
+                std::bit_cast<std::uint64_t>(y.prob_within_margin[m]));
+    }
+  }
+}
+
+TEST(MinRdtMcTest, AnalyzeRowsMatchesPerRecordLoopAtAnyThreads) {
+  // The golden contract of the rows x N fan-out: at every worker count
+  // AnalyzeRows returns, bit for bit, what a per-record AnalyzeRowSeries
+  // loop over the same stream returns, and leaves the stream in the
+  // same state.
+  const std::vector<SeriesRecord> records = SmallCampaignRecords();
+  MinRdtSettings settings;
+  settings.sample_sizes = {1, 5, 50};
+  settings.iterations = 300;
+  settings.margins = {0.10, 0.30};
+
+  Rng reference_rng(77);
+  std::vector<RowMinRdtResult> reference;
+  for (const SeriesRecord& record : records) {
+    reference.push_back(
+        AnalyzeRowSeries(record.series, settings, reference_rng));
+  }
+  const std::uint64_t reference_next = reference_rng.Next();
+
+  // The scratch overload on a pool runs the same code.
+  {
+    ThreadPool pool(3);
+    Rng rng(77);
+    RowMinRdtResult out;
+    MinRdtScratch scratch;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      AnalyzeRowSeries(records[r].series, settings, rng, out, scratch,
+                       &pool);
+      ExpectBitEqual(out, reference[r]);
+    }
+    EXPECT_EQ(rng.Next(), reference_next);
+  }
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    Rng rng(77);
+    const std::vector<RowMinRdtResult> batch =
+        AnalyzeRows(records, settings, rng, threads);
+    ASSERT_EQ(batch.size(), records.size()) << "threads=" << threads;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " record=" << r);
+      ExpectBitEqual(batch[r], reference[r]);
+    }
+    EXPECT_EQ(rng.Next(), reference_next) << "threads=" << threads;
+  }
+}
+
+TEST(MinRdtMcTest, AnalyzeRowsAllSentinelRowThrows) {
+  std::vector<SeriesRecord> records = SmallCampaignRecords();
+  records[2].series.assign(records[2].series.size(), kNoFlip);
+  MinRdtSettings settings;
+  settings.iterations = 50;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Rng rng(9);
+    EXPECT_THROW(AnalyzeRows(records, settings, rng, threads), FatalError)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -17,6 +18,32 @@ TEST(MonteCarloTest, DegenerateSeriesAlwaysFindsMin) {
       SampleMinStatistics(series, 1, 1000, rng);
   EXPECT_DOUBLE_EQ(result.prob_find_min, 1.0);
   EXPECT_DOUBLE_EQ(result.expected_norm_min, 1.0);
+}
+
+TEST(MonteCarloTest, KnownAnswerWithMargins) {
+  // Bit patterns recorded before the per-margin limits were hoisted out
+  // of the iteration loop and the RNG draw was made inline; the next
+  // draw pins how many raw outputs the resampling consumed.
+  std::vector<std::int64_t> series;
+  for (int i = 0; i < 200; ++i) {
+    series.push_back(1000 + (i * 37) % 311);
+  }
+  const std::vector<double> margins = {0.10, 0.20, 0.30};
+  Rng rng(2025);
+  const MinSampleResult result =
+      SampleMinStatistics(series, 5, 1000, rng, margins);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.prob_find_min),
+            0x3f9db22d0e560419ull);  // 0.029
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.expected_norm_min),
+            0x3ff0dac79702e666ull);  // 1.053413...
+  ASSERT_EQ(result.prob_within_margin.size(), 3u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.prob_within_margin[0]),
+            0x3feb74bc6a7ef9dbull);  // 0.858
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.prob_within_margin[1]),
+            0x3fefc6a7ef9db22dull);  // 0.993
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.prob_within_margin[2]),
+            0x3ff0000000000000ull);  // 1.0
+  EXPECT_EQ(rng.Next(), 0xa9b5d9030d8dcbb2ull);
 }
 
 TEST(MonteCarloTest, ExactFormulaSingleMinimum) {
