@@ -10,10 +10,13 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "core/campaign.h"
 #include "core/rdt_profiler.h"
 #include "core/series_analysis.h"
@@ -72,9 +75,9 @@ class Flags {
 /// comma-separated list of catalog names.
 std::vector<std::string> ResolveDevices(const std::string& spec);
 
-/// Resolve the --threads= flag for the parallel campaign executor:
-/// 0 selects hardware_concurrency, 1 forces the serial path. Results
-/// are bit-identical for every value.
+/// Resolve the --threads= flag for the campaign executor and the
+/// parallel analysis loops: 0 selects hardware_concurrency, 1 forces
+/// the serial path. Results are bit-identical for every value.
 std::size_t ResolveThreads(const Flags& flags);
 
 /**
@@ -112,6 +115,30 @@ struct SingleRowSeries {
 bool CollectSingleRowSeries(const std::string& device_name,
                             std::size_t measurements,
                             std::uint64_t seed, SingleRowSeries* out);
+
+/**
+ * CollectSingleRowSeries on every device of `devices`, one task per
+ * device on `threads` workers (0 = hardware concurrency): the task
+ * hands its series to `fn` and keeps only fn's result, so no series
+ * outlives its task. Slot i belongs to devices[i] and is empty when
+ * that device has no victim row. `fn` runs concurrently on different
+ * series and must not touch shared mutable state; results are the
+ * same for every `threads`.
+ */
+template <typename Fn,
+          typename R = std::invoke_result_t<const Fn&, const SingleRowSeries&>>
+std::vector<std::optional<R>> MapSingleRowSeries(
+    const std::vector<std::string>& devices, std::size_t measurements,
+    std::uint64_t seed, std::size_t threads, const Fn& fn) {
+  std::vector<std::optional<R>> slots(devices.size());
+  ParallelForThreads(threads, devices.size(), [&](std::size_t i) {
+    SingleRowSeries data;
+    if (CollectSingleRowSeries(devices[i], measurements, seed, &data)) {
+      slots[i] = fn(data);
+    }
+  });
+  return slots;
+}
 
 /// Append one box-and-whiskers row (min / Q1 / median / Q3 / max /
 /// mean) to a table.

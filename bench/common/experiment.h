@@ -101,6 +101,12 @@ struct ExperimentRegistrar {
     (factory)                                        \
   }
 
+/// The --threads flag: worker threads for the campaign and the
+/// parallel analysis loops. Campaign experiments get it through
+/// CampaignFlagSpecs(); experiments without a campaign that fan out
+/// declare it themselves and read it with ResolveThreads().
+FlagSpec ThreadsFlagSpec();
+
 /// The execution flags shared by every campaign experiment
 /// (--threads, --checkpoint, --resume, --inject, --max_attempts).
 /// Appended to a spec's own FlagSpecs; values are applied to the

@@ -9,6 +9,7 @@
  */
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/experiment.h"
@@ -97,14 +98,19 @@ void AnalyzeFig01(const core::CampaignResult&, Report* report) {
     std::size_t worst = 0;
     const std::size_t scan_measurements =
         std::min<std::size_t>(measurements, 100000);
-    for (const std::string& name : ResolveDevices(scan)) {
-      SingleRowSeries scan_data;
-      if (!CollectSingleRowSeries(name, scan_measurements, seed + 17,
-                                  &scan_data)) {
+    const std::vector<std::string> names = ResolveDevices(scan);
+    const auto scanned = MapSingleRowSeries(
+        names, scan_measurements, seed + 17, ResolveThreads(flags),
+        [](const SingleRowSeries& scan_data) {
+          return std::make_pair(scan_data.row,
+                                core::AnalyzeSeries(scan_data.series));
+        });
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (!scanned[i]) {
         continue;
       }
-      const auto a = core::AnalyzeSeries(scan_data.series);
-      table.AddRow({name, Cell(scan_data.row),
+      const auto& [row, a] = *scanned[i];
+      table.AddRow({names[i], Cell(row),
                     Cell(static_cast<std::uint64_t>(a.first_min_index)),
                     Cell(a.min_rdt), Cell(a.max_over_min, 2)});
       worst = std::max(worst, a.first_min_index);
@@ -126,6 +132,7 @@ ExperimentSpec Fig01Spec() {
       {"seed", "2025", "base RNG seed"},
       {"scan", "all",
        "device set for the worst-case first-minimum scan (none skips)"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--scan=none"};
   spec.analyze = AnalyzeFig01;

@@ -27,17 +27,21 @@ void AnalyzeFig03(const core::CampaignResult&, Report* report) {
       {"device", "min", "Q1", "median", "Q3", "max", "mean"});
   double worst_ratio = 1.0;
   std::string worst_device;
-  for (const std::string& name : devices) {
-    SingleRowSeries data;
-    if (!CollectSingleRowSeries(name, measurements, seed, &data)) {
-      std::cerr << "skipping " << name << ": no victim row\n";
+  // A device without a victim row is skipped, as in fig04/fig05.
+  const auto analyses = MapSingleRowSeries(
+      devices, measurements, seed, ResolveThreads(flags),
+      [](const SingleRowSeries& data) {
+        return core::AnalyzeSeries(data.series);
+      });
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (!analyses[i]) {
       continue;
     }
-    const core::SeriesAnalysis analysis = core::AnalyzeSeries(data.series);
-    AddBoxRow(table, name, analysis.box);
+    const core::SeriesAnalysis& analysis = *analyses[i];
+    AddBoxRow(table, devices[i], analysis.box);
     if (analysis.max_over_min > worst_ratio) {
       worst_ratio = analysis.max_over_min;
-      worst_device = name;
+      worst_device = devices[i];
     }
   }
   table.Print(out);
@@ -59,6 +63,7 @@ ExperimentSpec Fig03Spec() {
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
       {"measurements", "100000", "measurements per victim row"},
       {"seed", "2025", "base RNG seed"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--devices=M1,S2"};
   spec.analyze = AnalyzeFig03;

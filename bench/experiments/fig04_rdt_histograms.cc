@@ -10,6 +10,7 @@
  */
 #include <algorithm>
 #include <iostream>
+#include <optional>
 
 #include "common/experiment.h"
 #include "stats/histogram.h"
@@ -36,12 +37,33 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
   std::vector<double> unimodal_ps;
   std::size_t m1_unique = 0;
   std::size_t chip1_modes = 0;
-  for (const std::string& name : devices) {
-    SingleRowSeries data;
-    if (!CollectSingleRowSeries(name, measurements, seed, &data)) {
+  // Per device: the series analysis, plus the unique-value histogram
+  // of the --bars device, computed in the device's own task.
+  struct DeviceResult {
+    core::SeriesAnalysis analysis;
+    std::optional<stats::Histogram> bars;
+  };
+  const auto results = MapSingleRowSeries(
+      devices, measurements, seed, ResolveThreads(flags),
+      [&bars_device](const SingleRowSeries& data) {
+        DeviceResult result{core::AnalyzeSeries(data.series), std::nullopt};
+        if (data.device == bars_device) {
+          std::vector<double> values;
+          for (const std::int64_t v : data.series) {
+            if (v >= 0) {
+              values.push_back(static_cast<double>(v));
+            }
+          }
+          result.bars = stats::BuildUniqueValueHistogram(values);
+        }
+        return result;
+      });
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (!results[i]) {
       continue;
     }
-    const core::SeriesAnalysis a = core::AnalyzeSeries(data.series);
+    const std::string& name = devices[i];
+    const core::SeriesAnalysis& a = results[i]->analysis;
     table.AddRow({name, Cell(a.unique_values),
                   Cell(a.histogram_modes), Cell(a.normal_fit.p_value, 4),
                   a.normal_fit.NormalAt(0.05) ? "yes" : "no",
@@ -57,16 +79,9 @@ void AnalyzeFig04(const core::CampaignResult&, Report* report) {
       chip1_modes = a.histogram_modes;
     }
 
-    if (name == bars_device) {
+    if (results[i]->bars) {
       PrintBanner(out, "Histogram of " + name);
-      std::vector<double> values;
-      for (const std::int64_t v : data.series) {
-        if (v >= 0) {
-          values.push_back(static_cast<double>(v));
-        }
-      }
-      const stats::Histogram hist =
-          stats::BuildUniqueValueHistogram(values);
+      const stats::Histogram& hist = *results[i]->bars;
       const auto peak = hist.bins[hist.ModeBin()].count;
       for (const stats::HistogramBin& bin : hist.bins) {
         const auto width = static_cast<std::size_t>(
@@ -113,6 +128,7 @@ ExperimentSpec Fig04Spec() {
       {"seed", "2025", "base RNG seed"},
       {"bars", "M1",
        "device whose full ASCII histogram is printed (none skips)"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=4000", "--devices=M1,Chip1",
                      "--bars=none"};

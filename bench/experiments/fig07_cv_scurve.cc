@@ -77,14 +77,26 @@ void AnalyzeFig07(const core::CampaignResult& result, Report* report) {
     bool varies_under_all = true;
     bool varies_under_any = false;
   };
-  std::map<std::pair<std::string, dram::RowAddr>, RowAgg> rows;
-  for (const core::SeriesRecord& record : result.records) {
+  // Analyze the records in parallel, one slot each, then merge the
+  // slots in record order.
+  struct SeriesStats {
+    double cv = 0.0;
+    double max_over_min = 1.0;
+    bool varies = false;
+  };
+  std::vector<SeriesStats> per_record(result.records.size());
+  ParallelForThreads(config.threads, per_record.size(), [&](std::size_t i) {
     const core::SeriesAnalysis a =
-        core::AnalyzeSeries(record.series, /*acf_max_lag=*/1);
+        core::AnalyzeSeries(result.records[i].series, /*acf_max_lag=*/1);
+    per_record[i] = {a.cv, a.max_over_min, a.unique_values > 1};
+  });
+  std::map<std::pair<std::string, dram::RowAddr>, RowAgg> rows;
+  for (std::size_t i = 0; i < per_record.size(); ++i) {
+    const core::SeriesRecord& record = result.records[i];
     RowAgg& agg = rows[{record.device, record.row}];
-    agg.max_cv = std::max(agg.max_cv, a.cv);
-    agg.max_ratio = std::max(agg.max_ratio, a.max_over_min);
-    if (a.unique_values > 1) {
+    agg.max_cv = std::max(agg.max_cv, per_record[i].cv);
+    agg.max_ratio = std::max(agg.max_ratio, per_record[i].max_over_min);
+    if (per_record[i].varies) {
       agg.varies_under_any = true;
     } else {
       agg.varies_under_all = false;

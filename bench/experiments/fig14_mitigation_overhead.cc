@@ -9,6 +9,7 @@
 #include <iostream>
 #include <map>
 
+#include "common/error.h"
 #include "common/experiment.h"
 #include "memsim/system.h"
 
@@ -30,6 +31,9 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
       static_cast<std::size_t>(flags.GetUint("requests"));
   const auto num_mixes =
       static_cast<std::size_t>(flags.GetUint("mixes"));
+  // Every table cell is a mean over the mixes, and the latency view
+  // reads mix 0.
+  VRD_FATAL_IF(num_mixes == 0, "flag --mixes: must be at least 1");
   const std::uint64_t seed = flags.GetUint("seed");
   const Scheduler scheduler = flags.GetBool("frfcfs")
                                   ? Scheduler::kFrFcfs
@@ -55,15 +59,38 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
     mixes.resize(num_mixes);
   }
 
-  // Baseline per mix.
-  std::vector<SystemResult> baselines;
-  for (std::size_t m = 0; m < mixes.size(); ++m) {
+  const auto mix_config = [&](std::size_t m) {
     SystemConfig sc;
     sc.requests_per_core = requests;
     sc.seed = seed + m;
     sc.scheduler = scheduler;
-    baselines.push_back(SimulateMix(mixes[m], sc));
-  }
+    return sc;
+  };
+  const std::size_t threads = ResolveThreads(flags);
+
+  // Baseline per mix.
+  std::vector<SystemResult> baselines(mixes.size());
+  ParallelForThreads(threads, mixes.size(), [&](std::size_t m) {
+    baselines[m] = SimulateMix(mixes[m], mix_config(m));
+  });
+
+  // Every (config, kind, mix) simulation is independent: slot
+  // (c * kinds + k) * mixes + m keeps only its normalized performance,
+  // summed below in mix order.
+  const std::size_t num_kinds = std::size(kinds);
+  std::vector<double> normalized(std::size(configs) * num_kinds *
+                                 mixes.size());
+  ParallelForThreads(threads, normalized.size(), [&](std::size_t i) {
+    const std::size_t m = i % mixes.size();
+    const std::size_t k = i / mixes.size() % num_kinds;
+    const Config& config = configs[i / mixes.size() / num_kinds];
+    SystemConfig sc = mix_config(m);
+    sc.mitigation = kinds[k];
+    sc.rdt = static_cast<std::uint64_t>(
+        static_cast<double>(config.base_rdt) * (1.0 - config.margin));
+    normalized[i] =
+        NormalizedPerformance(SimulateMix(mixes[m], sc), baselines[m]);
+  });
 
   TextTable table({"RDT (margin)", "configured", "Graphene", "PRAC",
                    "PARA", "MINT"});
@@ -76,17 +103,10 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
         Cell(configs[c].base_rdt) + " (" +
             Cell(configs[c].margin * 100.0, 0) + "%)",
         Cell(configured)};
-    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    for (std::size_t k = 0; k < num_kinds; ++k) {
       double sum = 0.0;
       for (std::size_t m = 0; m < mixes.size(); ++m) {
-        SystemConfig sc;
-        sc.requests_per_core = requests;
-        sc.seed = seed + m;
-        sc.scheduler = scheduler;
-        sc.mitigation = kinds[k];
-        sc.rdt = configured;
-        const SystemResult result = SimulateMix(mixes[m], sc);
-        sum += NormalizedPerformance(result, baselines[m]);
+        sum += normalized[(c * num_kinds + k) * mixes.size() + m];
       }
       const double mean = sum / static_cast<double>(mixes.size());
       cell[{static_cast<int>(c), static_cast<int>(k)}] = mean;
@@ -98,11 +118,9 @@ void AnalyzeFig14(const core::CampaignResult&, Report* report) {
 
   // Tail-latency view of the worst configuration.
   {
-    SystemConfig sc;
-    sc.requests_per_core = requests;
-    sc.seed = seed;
-    sc.scheduler = scheduler;
-    const SystemResult base = SimulateMix(mixes[0], sc);
+    // Mix 0's baseline ran above with this same config.
+    const SystemResult& base = baselines[0];
+    SystemConfig sc = mix_config(0);
     sc.mitigation = MitigationKind::kMint;
     sc.rdt = 64;
     const SystemResult worst = SimulateMix(mixes[0], sc);
@@ -152,6 +170,7 @@ ExperimentSpec Fig14Spec() {
       {"mixes", "15", "workload mixes to simulate"},
       {"seed", "2025", "base RNG seed"},
       {"frfcfs", "false", "use the FR-FCFS scheduler"},
+      ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--requests=2000", "--mixes=2"};
   spec.analyze = AnalyzeFig14;

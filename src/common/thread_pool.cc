@@ -169,4 +169,17 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
   }
 }
 
+void ParallelForThreads(std::size_t threads, std::size_t n,
+                        const std::function<void(std::size_t)>& fn) {
+  const std::size_t workers = ThreadPool::WorkersFor(threads, n);
+  if (workers > 1) {
+    ThreadPool pool(workers);
+    pool.ParallelFor(n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    fn(i);
+  }
+}
+
 }  // namespace vrddram

@@ -1,7 +1,14 @@
 /**
  * @file
- * Thread pool for the embarrassingly-parallel loops of the suite
- * (campaign shards, the rows × N min-RDT analysis fan-out).
+ * Thread pool for the embarrassingly-parallel loops of the suite. Its
+ * production users each run one job through ParallelForThreads (a
+ * transient pool capped at the job's task count):
+ *  - core::RunCampaign: one task per (device, temperature) shard;
+ *  - core::AnalyzeRows: one task per (row, N) min-RDT pair;
+ *  - core::RunGuardbandStudy: one task per device;
+ *  - the driver experiments: fig14's SimulateMix calls, the per-device
+ *    single-row series of fig01/fig03/fig04/fig05
+ *    (bench::MapSingleRowSeries) and fig07's per-record analysis.
  *
  * Design constraints, in order:
  *  1. Determinism: the pool never owns randomness or ordering. Callers
@@ -117,6 +124,17 @@ class ThreadPool {
  */
 void ParallelFor(ThreadPool* pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn);
+
+/**
+ * Runs fn(i) for i in [0, n) on a pool of
+ * ThreadPool::WorkersFor(threads, n) workers that lives for this call
+ * only, or inline on the calling thread when that is at most 1.
+ * `threads` = 0 selects ThreadPool::DefaultWorkerCount(). Every index
+ * runs exactly once, so results are the same for every `threads`.
+ * Throws what ThreadPool's constructor and ParallelFor throw.
+ */
+void ParallelForThreads(std::size_t threads, std::size_t n,
+                        const std::function<void(std::size_t)>& fn);
 
 }  // namespace vrddram
 

@@ -398,16 +398,7 @@ CampaignResult RunCampaign(const CampaignConfig& config,
     *progress << line.str();
   };
 
-  const std::size_t workers =
-      ThreadPool::WorkersFor(config.threads, shards.size());
-  if (workers > 1) {
-    ThreadPool pool(workers);
-    pool.ParallelFor(shards.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      run_one(i);
-    }
-  }
+  ParallelForThreads(config.threads, shards.size(), run_one);
 
   CampaignResult result;
   std::size_t total_series = 0;
@@ -436,7 +427,8 @@ CampaignResult RunCampaign(const CampaignConfig& config,
               << from_checkpoint << " restored), " << total_series
               << " series, " << total_measurements
               << " measurements in " << seconds << " s wall on "
-              << workers << " thread(s)";
+              << ThreadPool::WorkersFor(config.threads, shards.size())
+              << " thread(s)";
     if (seconds > 0.0) {
       *progress << " ("
                 << static_cast<double>(total_measurements) / seconds

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <ostream>
 #include <span>
+#include <string>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/campaign.h"
 
 namespace vrddram::core {
@@ -34,15 +36,18 @@ std::size_t MaxFlipsPerGroup(std::span<const std::uint32_t> sorted_bits,
   return worst;
 }
 
-}  // namespace
-
-std::vector<RowGuardbandOutcome> RunGuardbandStudy(
-    const GuardbandConfig& config, std::ostream* progress) {
-  VRD_FATAL_IF(config.devices.empty(), "study needs devices");
-  VRD_FATAL_IF(config.trials == 0, "study needs trials");
+/// One device's share of the study: its outcomes in pattern-then-row
+/// order plus its progress line.
+struct DeviceStudy {
   std::vector<RowGuardbandOutcome> outcomes;
+  std::string progress;
+};
 
-  // Per-study scratch reused by every (device, pattern, row, margin)
+DeviceStudy StudyDevice(const GuardbandConfig& config,
+                        const std::string& name) {
+  DeviceStudy study;
+
+  // Per-device scratch reused by every (pattern, row, margin)
   // combination: the measurement loops are allocation-free once the
   // buffers reach their high-water capacity.
   vrd::MeasureContext mctx;
@@ -50,124 +55,144 @@ std::vector<RowGuardbandOutcome> RunGuardbandStudy(
   std::vector<std::uint32_t> flipped_bits;
   std::vector<std::uint32_t> chip_scratch;
 
-  for (const std::string& name : config.devices) {
-    std::unique_ptr<dram::Device> device =
-        vrd::BuildDevice(name, config.base_seed);
-    auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
-    VRD_ASSERT(engine != nullptr);
-    device->SetTemperature(config.temperature);
+  std::unique_ptr<dram::Device> device =
+      vrd::BuildDevice(name, config.base_seed);
+  auto* engine = dynamic_cast<vrd::TrapFaultEngine*>(&device->model());
+  VRD_ASSERT(engine != nullptr);
+  device->SetTemperature(config.temperature);
 
-    const std::size_t per_region =
-        std::max<std::size_t>(1, config.rows_per_device / 3);
-    const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
-        *device, *engine, /*bank=*/0, per_region,
-        config.scan_rows_per_region, dram::DataPattern::kCheckered0,
-        device->timing().tRAS);
-    if (progress != nullptr) {
-      *progress << "guardband: " << name << ", " << rows.size()
-                << " rows\n";
-    }
+  const std::size_t per_region =
+      std::max<std::size_t>(1, config.rows_per_device / 3);
+  const std::vector<dram::RowAddr> rows = SelectVulnerableRows(
+      *device, *engine, /*bank=*/0, per_region,
+      config.scan_rows_per_region, dram::DataPattern::kCheckered0,
+      device->timing().tRAS);
+  study.progress = "guardband: " + name + ", " +
+                   std::to_string(rows.size()) + " rows\n";
 
-    for (const dram::DataPattern pattern : config.patterns) {
-      ProfilerConfig pc;
-      pc.bank = 0;
-      pc.pattern = pattern;
-      pc.mode = SweepMode::kAnalytic;
-      RdtProfiler profiler(*device, pc);
+  for (const dram::DataPattern pattern : config.patterns) {
+    ProfilerConfig pc;
+    pc.bank = 0;
+    pc.pattern = pattern;
+    pc.mode = SweepMode::kAnalytic;
+    RdtProfiler profiler(*device, pc);
 
-      for (const dram::RowAddr row : rows) {
-        // Step 1: a handful of RDT measurements; keep the minimum (the
-        // paper uses 5 to keep testing time reasonable).
-        const std::optional<std::uint64_t> guess = profiler.GuessRdt(row);
-        if (!guess) {
-          continue;
-        }
-        std::int64_t min_rdt = -1;
-        for (std::size_t i = 0; i < config.baseline_measurements; ++i) {
-          const std::int64_t rdt = profiler.MeasureOnce(row, *guess);
-          if (rdt >= 0 && (min_rdt < 0 || rdt < min_rdt)) {
-            min_rdt = rdt;
-          }
-        }
-        if (min_rdt <= 0) {
-          continue;
-        }
-
-        RowGuardbandOutcome outcome;
-        outcome.device = name;
-        outcome.row = row;
-        outcome.pattern = pattern;
-        outcome.min_rdt = static_cast<std::uint64_t>(min_rdt);
-
-        const dram::PhysicalRow phys = device->mapper().ToPhysical(row);
-        const std::uint32_t chips = device->org().chips_per_rank;
-        const Tick t_on = device->timing().tRAS;
-        const Tick trial_time =
-            static_cast<Tick>(2 * outcome.min_rdt) *
-            (t_on + device->timing().tRP);
-
-        // Step 2: hammer repeatedly at guard-banded hammer counts and
-        // union the flipping cells. All trials of all margins query the
-        // same (row, pattern, temperature), so one rebuilt-in-place
-        // MeasureContext and the hoisted scratch buffers serve the
-        // whole sweep without allocating.
-        engine->MakeMeasureContext(
-            /*bank=*/0, phys, dram::VictimByte(pattern),
-            dram::AggressorByte(pattern), t_on, config.temperature,
-            device->encoding(), device->Now(), mctx);
-        for (const double margin : config.margins) {
-          MarginOutcome per;
-          per.margin = margin;
-          per.hammer_count = static_cast<std::uint64_t>(
-              static_cast<double>(outcome.min_rdt) * (1.0 - margin));
-          flipped_bits.clear();
-          for (std::size_t trial = 0; trial < config.trials; ++trial) {
-            bool any = false;
-            engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
-            for (const auto& point : points) {
-              if (point.hammer_count >= 0.0 &&
-                  point.hammer_count <=
-                      static_cast<double>(per.hammer_count)) {
-                flipped_bits.push_back(point.bit_index);
-                any = true;
-              }
-            }
-            if (any) {
-              ++per.trials_with_flips;
-            }
-            device->Sleep(trial_time);
-          }
-
-          // Deduplicate across trials: sort+unique in the hoisted
-          // buffer stands in for the ordered set the study previously
-          // populated per margin (same unique bits, same order).
-          std::sort(flipped_bits.begin(), flipped_bits.end());
-          flipped_bits.erase(
-              std::unique(flipped_bits.begin(), flipped_bits.end()),
-              flipped_bits.end());
-          per.unique_bitflips = flipped_bits.size();
-
-          // Codeword maxima via run-length scans over the sorted bits
-          // (a SECDED codeword covers 8 bytes = 64 bits, a chipkill
-          // codeword 16 bytes = 128); chips touched via the sorted
-          // chip-index scratch. All pure functions of the bit set,
-          // identical to the previous histogram-map aggregation.
-          per.max_per_secded_codeword = MaxFlipsPerGroup(flipped_bits, 64);
-          per.max_per_chipkill_codeword =
-              MaxFlipsPerGroup(flipped_bits, 128);
-          chip_scratch.clear();
-          for (const std::uint32_t bit : flipped_bits) {
-            chip_scratch.push_back((bit / 8) % chips);
-          }
-          std::sort(chip_scratch.begin(), chip_scratch.end());
-          chip_scratch.erase(
-              std::unique(chip_scratch.begin(), chip_scratch.end()),
-              chip_scratch.end());
-          per.chips_touched = chip_scratch.size();
-          outcome.per_margin.push_back(per);
-        }
-        outcomes.push_back(std::move(outcome));
+    for (const dram::RowAddr row : rows) {
+      // Step 1: a handful of RDT measurements; keep the minimum (the
+      // paper uses 5 to keep testing time reasonable).
+      const std::optional<std::uint64_t> guess = profiler.GuessRdt(row);
+      if (!guess) {
+        continue;
       }
+      std::int64_t min_rdt = -1;
+      for (std::size_t i = 0; i < config.baseline_measurements; ++i) {
+        const std::int64_t rdt = profiler.MeasureOnce(row, *guess);
+        if (rdt >= 0 && (min_rdt < 0 || rdt < min_rdt)) {
+          min_rdt = rdt;
+        }
+      }
+      if (min_rdt <= 0) {
+        continue;
+      }
+
+      RowGuardbandOutcome outcome;
+      outcome.device = name;
+      outcome.row = row;
+      outcome.pattern = pattern;
+      outcome.min_rdt = static_cast<std::uint64_t>(min_rdt);
+
+      const dram::PhysicalRow phys = device->mapper().ToPhysical(row);
+      const std::uint32_t chips = device->org().chips_per_rank;
+      const Tick t_on = device->timing().tRAS;
+      const Tick trial_time =
+          static_cast<Tick>(2 * outcome.min_rdt) *
+          (t_on + device->timing().tRP);
+
+      // Step 2: hammer repeatedly at guard-banded hammer counts and
+      // union the flipping cells. All trials of all margins query the
+      // same (row, pattern, temperature), so one rebuilt-in-place
+      // MeasureContext and the hoisted scratch buffers serve the
+      // whole sweep without allocating.
+      engine->MakeMeasureContext(
+          /*bank=*/0, phys, dram::VictimByte(pattern),
+          dram::AggressorByte(pattern), t_on, config.temperature,
+          device->encoding(), device->Now(), mctx);
+      for (const double margin : config.margins) {
+        MarginOutcome per;
+        per.margin = margin;
+        per.hammer_count = static_cast<std::uint64_t>(
+            static_cast<double>(outcome.min_rdt) * (1.0 - margin));
+        flipped_bits.clear();
+        for (std::size_t trial = 0; trial < config.trials; ++trial) {
+          bool any = false;
+          engine->PerCellFlipHammerCounts(mctx, device->Now(), points);
+          for (const auto& point : points) {
+            if (point.hammer_count >= 0.0 &&
+                point.hammer_count <=
+                    static_cast<double>(per.hammer_count)) {
+              flipped_bits.push_back(point.bit_index);
+              any = true;
+            }
+          }
+          if (any) {
+            ++per.trials_with_flips;
+          }
+          device->Sleep(trial_time);
+        }
+
+        // Deduplicate across trials: sort+unique in the hoisted
+        // buffer stands in for the ordered set the study previously
+        // populated per margin (same unique bits, same order).
+        std::sort(flipped_bits.begin(), flipped_bits.end());
+        flipped_bits.erase(
+            std::unique(flipped_bits.begin(), flipped_bits.end()),
+            flipped_bits.end());
+        per.unique_bitflips = flipped_bits.size();
+
+        // Codeword maxima via run-length scans over the sorted bits
+        // (a SECDED codeword covers 8 bytes = 64 bits, a chipkill
+        // codeword 16 bytes = 128); chips touched via the sorted
+        // chip-index scratch. All pure functions of the bit set,
+        // identical to the previous histogram-map aggregation.
+        per.max_per_secded_codeword = MaxFlipsPerGroup(flipped_bits, 64);
+        per.max_per_chipkill_codeword =
+            MaxFlipsPerGroup(flipped_bits, 128);
+        chip_scratch.clear();
+        for (const std::uint32_t bit : flipped_bits) {
+          chip_scratch.push_back((bit / 8) % chips);
+        }
+        std::sort(chip_scratch.begin(), chip_scratch.end());
+        chip_scratch.erase(
+            std::unique(chip_scratch.begin(), chip_scratch.end()),
+            chip_scratch.end());
+        per.chips_touched = chip_scratch.size();
+        outcome.per_margin.push_back(per);
+      }
+      study.outcomes.push_back(std::move(outcome));
+    }
+  }
+  return study;
+}
+
+}  // namespace
+
+std::vector<RowGuardbandOutcome> RunGuardbandStudy(
+    const GuardbandConfig& config, std::ostream* progress) {
+  VRD_FATAL_IF(config.devices.empty(), "study needs devices");
+  VRD_FATAL_IF(config.trials == 0, "study needs trials");
+  // Every device builds its own Device from (name, base_seed), so the
+  // tasks share nothing; slots merge in device order.
+  std::vector<DeviceStudy> studies(config.devices.size());
+  ParallelForThreads(config.threads, studies.size(), [&](std::size_t d) {
+    studies[d] = StudyDevice(config, config.devices[d]);
+  });
+  std::vector<RowGuardbandOutcome> outcomes;
+  for (DeviceStudy& study : studies) {
+    if (progress != nullptr) {
+      *progress << study.progress;
+    }
+    for (RowGuardbandOutcome& outcome : study.outcomes) {
+      outcomes.push_back(std::move(outcome));
     }
   }
   return outcomes;

@@ -30,6 +30,10 @@ struct GuardbandConfig {
   Celsius temperature = 50.0;
   std::size_t scan_rows_per_region = 128;
   std::uint64_t base_seed = 2025;
+  /// Worker threads for the per-device fan-out; 0 selects hardware
+  /// concurrency, 1 runs serially. An execution knob only: outcomes
+  /// and progress text are identical for every value.
+  std::size_t threads = 0;
 };
 
 struct MarginOutcome {
@@ -50,6 +54,11 @@ struct RowGuardbandOutcome {
   std::vector<MarginOutcome> per_margin;
 };
 
+/// Runs the study with one task per device (both patterns of a device
+/// share its clock and trap state, so a device is the smallest
+/// independent unit). Outcomes are device-major, then pattern, then
+/// row; the per-device "guardband: <dev>, N rows" progress lines are
+/// written to `progress` in device order once every device finished.
 std::vector<RowGuardbandOutcome> RunGuardbandStudy(
     const GuardbandConfig& config, std::ostream* progress = nullptr);
 

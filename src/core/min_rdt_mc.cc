@@ -1,6 +1,5 @@
 #include "core/min_rdt_mc.h"
 
-#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -12,14 +11,15 @@ namespace {
 /**
  * The filter/fork/task code behind every entry point. Filters each
  * series and forks its per-N streams serially in series order, then
- * runs one ParallelFor over series × sample sizes; task t analyzes
- * series t / K with sample size t % K (K sample sizes) and writes only
- * its own slot of `out`.
+ * runs one job over series × sample sizes, on `pool` when one is given
+ * and on `threads` workers otherwise; task t analyzes series t / K with
+ * sample size t % K (K sample sizes) and writes only its own slot of
+ * `out`.
  */
 void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
                   const MinRdtSettings& settings, Rng& rng,
                   std::span<RowMinRdtResult> out, MinRdtScratch& scratch,
-                  ThreadPool* pool) {
+                  ThreadPool* pool, std::size_t threads) {
   // Fork labels depend only on the sample-size list; cache them so a
   // hoisted scratch builds the strings once per settings shape.
   if (scratch.labeled_sizes != settings.sample_sizes) {
@@ -65,16 +65,21 @@ void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
   for (RowMinRdtResult& result : out) {
     result.per_n.resize(sizes);
   }
-  ParallelFor(pool, streams.size(), [&](std::size_t task) {
-    const std::size_t row = task / sizes;
-    const std::size_t i = task % sizes;
+  const auto task = [&](std::size_t t) {
+    const std::size_t row = t / sizes;
+    const std::size_t i = t % sizes;
     const std::size_t begin = row == 0 ? 0 : scratch.row_end[row - 1];
     const std::span<const std::int64_t> row_valid(
         valid.data() + begin, scratch.row_end[row] - begin);
     out[row].per_n[i] = stats::SampleMinStatistics(
         row_valid, settings.sample_sizes[i], settings.iterations,
-        streams[task], settings.margins);
-  });
+        streams[t], settings.margins);
+  };
+  if (pool != nullptr) {
+    ParallelFor(pool, streams.size(), task);
+  } else {
+    ParallelForThreads(threads, streams.size(), task);
+  }
 }
 
 }  // namespace
@@ -89,14 +94,7 @@ std::vector<RowMinRdtResult> AnalyzeRows(
   }
   std::vector<RowMinRdtResult> out(records.size());
   MinRdtScratch scratch;
-  std::optional<ThreadPool> pool;
-  const std::size_t workers = ThreadPool::WorkersFor(
-      threads, records.size() * settings.sample_sizes.size());
-  if (workers > 1) {
-    pool.emplace(workers);
-  }
-  AnalyzeBatch(series, settings, rng, out, scratch,
-               pool ? &*pool : nullptr);
+  AnalyzeBatch(series, settings, rng, out, scratch, nullptr, threads);
   return out;
 }
 
@@ -113,7 +111,8 @@ void AnalyzeRowSeries(std::span<const std::int64_t> series,
                       const MinRdtSettings& settings, Rng& rng,
                       RowMinRdtResult& out, MinRdtScratch& scratch,
                       ThreadPool* pool) {
-  AnalyzeBatch({&series, 1}, settings, rng, {&out, 1}, scratch, pool);
+  AnalyzeBatch({&series, 1}, settings, rng, {&out, 1}, scratch, pool,
+               /*threads=*/1);
 }
 
 }  // namespace vrddram::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <math.h>
 #include <vector>
 
 #include "common/error.h"
@@ -16,9 +17,17 @@ double NormalCdf(double z) {
 
 namespace {
 
+// ln Γ(a). std::lgamma also stores the sign of Γ(a) in the global
+// `signgam`, a data race when series are analyzed on several threads;
+// lgamma_r returns the same value and writes the sign to a local.
+double LogGamma(double a) {
+  int sign = 0;
+  return lgamma_r(a, &sign);
+}
+
 // Series expansion of P(a, x), valid and fast for x < a + 1.
 double GammaPSeries(double a, double x) {
-  const double gln = std::lgamma(a);
+  const double gln = LogGamma(a);
   double ap = a;
   double sum = 1.0 / a;
   double del = sum;
@@ -36,7 +45,7 @@ double GammaPSeries(double a, double x) {
 // Continued-fraction expansion of Q(a, x), valid for x >= a + 1
 // (modified Lentz method).
 double GammaQContinuedFraction(double a, double x) {
-  const double gln = std::lgamma(a);
+  const double gln = LogGamma(a);
   const double tiny = std::numeric_limits<double>::min() / 1e-30;
   double b = x + 1.0 - a;
   double c = 1.0 / tiny;

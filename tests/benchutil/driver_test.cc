@@ -89,6 +89,15 @@ TEST(DriverTest, MalformedNumericFlagExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(DriverTest, ZeroMixesExitsTwoNamingTheFlag) {
+  // fig14 averages over the mixes and reads mix 0: with none it used
+  // to index an empty vector.
+  const DriverRun run = Drive(
+      {"run", "fig14_mitigation_overhead", "--mixes=0", "--requests=100"});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("--mixes"), std::string::npos) << run.err;
+}
+
 TEST(DriverTest, HugeThreadCountRunsMinRdtExperiment) {
   // Every pool is capped at its task count, so a --threads far beyond
   // what the host can start still runs, with the --threads=1 report.
@@ -103,6 +112,47 @@ TEST(DriverTest, HugeThreadCountRunsMinRdtExperiment) {
   ASSERT_EQ(serial.exit_code, 0) << serial.err;
   ASSERT_EQ(huge.exit_code, 0) << huge.err;
   EXPECT_EQ(huge.out, serial.out);
+}
+
+TEST(DriverTest, ParallelAnalysisExperimentsAcceptThreads) {
+  // Experiments without a campaign that fan out over the pool declare
+  // --threads too, with the shared help text.
+  for (const std::string name :
+       {"fig01_rdt_series", "fig03_rdt_distribution",
+        "fig04_rdt_histograms", "fig05_run_lengths",
+        "fig14_mitigation_overhead", "fig16_guardband_bitflips"}) {
+    const DriverRun run = Drive({"run", name, "--smoke", "--threads=2"});
+    EXPECT_EQ(run.exit_code, 0) << name << ": " << run.err;
+    EXPECT_EQ(run.err.find("unknown flag"), std::string::npos) << name;
+    const DriverRun describe = Drive({"describe", name});
+    EXPECT_NE(describe.out.find("--threads=0"), std::string::npos) << name;
+    EXPECT_NE(describe.out.find("parallel analysis"), std::string::npos)
+        << name;
+  }
+}
+
+TEST(DriverTest, ParallelAnalysisReportsIdenticalAtOneAndEightThreads) {
+  // fig14's (config, kind, mix) fan-out and fig01's per-device scan
+  // (its smoke args skip the scan, so it is enabled here, over all 24
+  // devices so that workers finish out of device order) must merge in
+  // the serial order.
+  const std::vector<std::vector<std::string>> runs = {
+      {"run", "fig14_mitigation_overhead", "--requests=2000",
+       "--mixes=3"},
+      {"run", "fig01_rdt_series", "--measurements=2000", "--scan=all"},
+  };
+  for (const std::vector<std::string>& base : runs) {
+    std::vector<std::string> serial_args = base;
+    serial_args.push_back("--threads=1");
+    std::vector<std::string> parallel_args = base;
+    parallel_args.push_back("--threads=8");
+    const DriverRun serial = Drive(serial_args);
+    const DriverRun parallel = Drive(parallel_args);
+    ASSERT_EQ(serial.exit_code, 0) << serial.err;
+    ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
+    EXPECT_FALSE(serial.out.empty()) << base[1];
+    EXPECT_EQ(parallel.out, serial.out) << base[1];
+  }
 }
 
 TEST(DriverTest, RunRequiresNamesOrAllButNotBoth) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 
 namespace vrddram::core {
@@ -74,6 +78,58 @@ TEST(GuardbandTest, HistogramAndBerHelpers) {
   EXPECT_GE(ber, 0.0);
   EXPECT_LT(ber, 0.01);
   EXPECT_THROW(WorstBitErrorRate(outcomes, 0.10, 0), FatalError);
+}
+
+TEST(GuardbandTest, ParallelMatchesSerialAtAnyThreads) {
+  // One task per device: outcomes and progress lines must come back in
+  // device order with the serial run's values, whatever the workers.
+  GuardbandConfig config;
+  config.devices = {"M1", "S2", "H1"};
+  config.rows_per_device = 3;
+  config.trials = 300;
+  config.scan_rows_per_region = 32;
+  const auto run = [&](std::size_t threads, std::string* progress) {
+    GuardbandConfig c = config;
+    c.threads = threads;
+    std::ostringstream out;
+    const std::vector<RowGuardbandOutcome> outcomes =
+        RunGuardbandStudy(c, &out);
+    *progress = out.str();
+    return outcomes;
+  };
+  std::string serial_progress;
+  const auto serial = run(1, &serial_progress);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial_progress.find("guardband: M1, "), 0u) << serial_progress;
+  EXPECT_LT(serial_progress.find("guardband: S2, "),
+            serial_progress.find("guardband: H1, "));
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    std::string progress;
+    const auto parallel = run(threads, &progress);
+    EXPECT_EQ(progress, serial_progress) << threads;
+    ASSERT_EQ(parallel.size(), serial.size()) << threads;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const RowGuardbandOutcome& a = serial[i];
+      const RowGuardbandOutcome& b = parallel[i];
+      EXPECT_EQ(b.device, a.device) << threads << " #" << i;
+      EXPECT_EQ(b.row, a.row) << threads << " #" << i;
+      EXPECT_EQ(b.pattern, a.pattern) << threads << " #" << i;
+      EXPECT_EQ(b.min_rdt, a.min_rdt) << threads << " #" << i;
+      ASSERT_EQ(b.per_margin.size(), a.per_margin.size());
+      for (std::size_t m = 0; m < a.per_margin.size(); ++m) {
+        const MarginOutcome& x = a.per_margin[m];
+        const MarginOutcome& y = b.per_margin[m];
+        EXPECT_EQ(y.margin, x.margin);
+        EXPECT_EQ(y.hammer_count, x.hammer_count);
+        EXPECT_EQ(y.unique_bitflips, x.unique_bitflips);
+        EXPECT_EQ(y.chips_touched, x.chips_touched);
+        EXPECT_EQ(y.max_per_secded_codeword, x.max_per_secded_codeword);
+        EXPECT_EQ(y.max_per_chipkill_codeword,
+                  x.max_per_chipkill_codeword);
+        EXPECT_EQ(y.trials_with_flips, x.trials_with_flips);
+      }
+    }
+  }
 }
 
 TEST(GuardbandTest, InvalidConfigsThrow) {

@@ -112,6 +112,19 @@ TEST(VrdlintFloatDeterminism, AccumulationHalfAppliesOutsideFloatPaths) {
             (std::vector<std::string>{"35: float-determinism"}));
 }
 
+TEST(VrdlintDispatch, ParallelForThreadsLambdasAreDispatchLambdas) {
+  // The capture and accumulation rules cover the transient-pool helper
+  // as they cover ThreadPool::ParallelFor; slot writes stay clean.
+  const std::vector<Diagnostic> found =
+      LintFixture("dispatch_threads.cc");
+  EXPECT_EQ(Locations(found),
+            (std::vector<std::string>{
+                "12: rng-flow",
+                "13: rng-discipline",
+                "19: float-determinism",
+            }));
+}
+
 TEST(VrdlintLockDiscipline, ChecksGuardedByCoverageAndOrdering) {
   const std::vector<Diagnostic> found =
       LintFixture("lock_discipline.cc");

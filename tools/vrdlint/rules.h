@@ -40,9 +40,10 @@ struct RngDecl {
   std::size_t pos = 0;  // flat offset of the declaration
 };
 
-/// One `ParallelFor`/`Submit` call carrying an inline lambda.
+/// One `ParallelFor`/`ParallelForThreads`/`Submit` call carrying an
+/// inline lambda.
 struct DispatchLambda {
-  std::string_view keyword;    // "ParallelFor" or "Submit"
+  std::string_view keyword;    // the dispatch call's name
   std::size_t kw = 0;          // flat offset of the keyword
   std::size_t open = 0;        // '(' of the dispatch call
   std::size_t close = 0;       // matching ')'

@@ -36,7 +36,8 @@ bool RuleSuppressedForPath(const Config& config, std::string_view rule,
 std::vector<DispatchLambda> FindDispatchLambdas(const FileView& view) {
   std::vector<DispatchLambda> lambdas;
   const std::string_view flat = view.flat;
-  for (const std::string_view dispatch : {"ParallelFor", "Submit"}) {
+  for (const std::string_view dispatch :
+       {"ParallelFor", "ParallelForThreads", "Submit"}) {
     std::size_t pos = 0;
     while ((pos = FindWord(flat, dispatch, pos)) !=
            std::string_view::npos) {

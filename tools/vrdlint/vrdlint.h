@@ -14,8 +14,9 @@
  *                          SortedKeys() or annotated
  *  - rng-discipline        Rng must be constructed from a seed
  *                          expression; a captured Rng touched inside a
- *                          ThreadPool::Submit/ParallelFor lambda needs
- *                          a preceding Fork(...) in the enclosing scope
+ *                          ThreadPool::Submit/ParallelFor (or
+ *                          ParallelForThreads) lambda needs a
+ *                          preceding Fork(...) in the enclosing scope
  *  - catch-all-swallow     `catch (...)` / `catch (std::exception&)`
  *                          handlers must rethrow, capture the
  *                          exception (std::current_exception), or
@@ -49,11 +50,12 @@
  * rule families a line-level scan cannot express:
  *
  *  - rng-flow              an Rng captured by reference into a
- *                          ParallelFor/Submit lambda, passed by
- *                          non-const reference across a function
- *                          boundary into per-shard code (the callee
- *                          may live in another file), or re-seeded
- *                          from a non-seed expression
+ *                          ParallelFor/ParallelForThreads/Submit
+ *                          lambda, passed by non-const reference
+ *                          across a function boundary into per-shard
+ *                          code (the callee may live in another
+ *                          file), or re-seeded from a non-seed
+ *                          expression
  *  - float-determinism     FMA-contractable shapes (`a*b + c`,
  *                          `acc += a*b`) in bit-equality kernel files
  *                          (the `float-path` entries of the config),
