@@ -1,7 +1,8 @@
 /**
  * @file
  * Figure 8 (and its expanded version, Figure 25) / Findings 7-9:
- * Monte Carlo analysis of identifying the minimum RDT. Top panel:
+ * analysis of identifying the minimum RDT, in closed form by default
+ * (the paper's Monte Carlo with --iters=N). Top panel:
  * distribution (across rows) of the probability of finding the series
  * minimum with N = 1, 3, 5, 10, 50, 500 uniformly drawn measurements.
  * Middle: distribution of the expected value of the minimum found,
@@ -51,8 +52,8 @@ void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
       settings.sample_sizes.size());
   std::vector<std::vector<double>> norm_by_n(
       settings.sample_sizes.size());
-  // The Monte Carlo stage reuses the campaign's thread setting; the
-  // rows × N fan-out inside AnalyzeRows is deterministic either way.
+  // A Monte Carlo run (--iters=N) reuses the campaign's thread setting;
+  // the rows × N fan-out inside AnalyzeRows is deterministic either way.
   for (const core::RowMinRdtResult& mc :
        core::AnalyzeRows(result.records, settings, rng, config.threads)) {
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
@@ -126,14 +127,16 @@ ExperimentSpec Fig08Spec() {
   ExperimentSpec spec;
   spec.name = "fig08_min_rdt_probability";
   spec.description =
-      "Figure 8: Monte Carlo probability of finding the minimum RDT";
+      "Figure 8: probability of finding the minimum RDT";
   spec.flags = WithCampaignFlags({
       {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
       {"rows", "9", "victim rows per device"},
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "10000", "Monte Carlo iterations per (row, N)"},
+      {"iters", "0",
+       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
+       "(row, N) (paper: 10000)"},
   });
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150",
                      "--iters=500"};

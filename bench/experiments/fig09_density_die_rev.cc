@@ -114,7 +114,9 @@ ExperimentSpec Fig09Spec() {
       {"measurements", "1000", "measurements per series"},
       {"seed", "2025", "base RNG seed"},
       {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "4000", "Monte Carlo iterations per (row, N)"},
+      {"iters", "0",
+       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
+       "(row, N) (paper: 10000)"},
   });
   spec.smoke_args = {"--rows=3", "--measurements=120", "--iters=500"};
   spec.build_campaign = BuildFig09Campaign;

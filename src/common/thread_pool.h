@@ -4,7 +4,8 @@
  * production users each run one job through ParallelForThreads (a
  * transient pool capped at the job's task count):
  *  - core::RunCampaign: one task per (device, temperature) shard;
- *  - core::AnalyzeRows: one task per (row, N) min-RDT pair;
+ *  - core::AnalyzeRows: one task per (row, N) min-RDT pair, on its
+ *    Monte Carlo opt-in (`iterations > 0`);
  *  - core::RunGuardbandStudy: one task per device;
  *  - the driver experiments: fig14's SimulateMix calls, the per-device
  *    single-row series of fig01/fig03/fig04/fig05

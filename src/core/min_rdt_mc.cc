@@ -10,19 +10,22 @@ namespace {
 
 /**
  * The filter/fork/task code behind every entry point. Filters each
- * series and forks its per-N streams serially in series order, then
- * runs one job over series × sample sizes, on `pool` when one is given
- * and on `threads` workers otherwise; task t analyzes series t / K with
- * sample size t % K (K sample sizes) and writes only its own slot of
- * `out`.
+ * series serially in series order. With `settings.iterations == 0` it
+ * then fills each series' results from the closed form, serially and
+ * without touching `rng`. Otherwise it forks each series' per-N streams
+ * in the same loop and runs one job over series × sample sizes, on
+ * `pool` when one is given and on `threads` workers otherwise; task t
+ * resamples series t / K with sample size t % K (K sample sizes) and
+ * writes only its own slot of `out`.
  */
 void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
                   const MinRdtSettings& settings, Rng& rng,
                   std::span<RowMinRdtResult> out, MinRdtScratch& scratch,
                   ThreadPool* pool, std::size_t threads) {
+  const bool exact = settings.iterations == 0;
   // Fork labels depend only on the sample-size list; cache them so a
   // hoisted scratch builds the strings once per settings shape.
-  if (scratch.labeled_sizes != settings.sample_sizes) {
+  if (!exact && scratch.labeled_sizes != settings.sample_sizes) {
     scratch.labels.clear();
     scratch.labels.reserve(settings.sample_sizes.size());
     for (const std::size_t n : settings.sample_sizes) {
@@ -45,7 +48,9 @@ void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
   // not depend on the worker count.
   std::vector<Rng>& streams = scratch.streams;
   streams.clear();
-  streams.reserve(series.size() * scratch.labels.size());
+  if (!exact) {
+    streams.reserve(series.size() * scratch.labels.size());
+  }
   for (const std::span<const std::int64_t> s : series) {
     const std::size_t begin = valid.size();
     for (const std::int64_t v : s) {
@@ -56,9 +61,24 @@ void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
     VRD_FATAL_IF(valid.size() == begin,
                  "series has no flipping measurements");
     scratch.row_end.push_back(valid.size());
-    for (const std::string& label : scratch.labels) {
-      streams.push_back(rng.Fork(label));
+    if (!exact) {
+      for (const std::string& label : scratch.labels) {
+        streams.push_back(rng.Fork(label));
+      }
     }
+  }
+
+  const auto row_valid = [&](std::size_t row) {
+    const std::size_t begin = row == 0 ? 0 : scratch.row_end[row - 1];
+    return std::span<const std::int64_t>(valid.data() + begin,
+                                         scratch.row_end[row] - begin);
+  };
+  if (exact) {
+    for (std::size_t row = 0; row < out.size(); ++row) {
+      out[row].per_n = stats::ExactMinStatistics(
+          row_valid(row), settings.sample_sizes, settings.margins);
+    }
+    return;
   }
 
   const std::size_t sizes = settings.sample_sizes.size();
@@ -68,11 +88,8 @@ void AnalyzeBatch(std::span<const std::span<const std::int64_t>> series,
   const auto task = [&](std::size_t t) {
     const std::size_t row = t / sizes;
     const std::size_t i = t % sizes;
-    const std::size_t begin = row == 0 ? 0 : scratch.row_end[row - 1];
-    const std::span<const std::int64_t> row_valid(
-        valid.data() + begin, scratch.row_end[row] - begin);
     out[row].per_n[i] = stats::SampleMinStatistics(
-        row_valid, settings.sample_sizes[i], settings.iterations,
+        row_valid(row), settings.sample_sizes[i], settings.iterations,
         streams[t], settings.margins);
   };
   if (pool != nullptr) {

@@ -64,66 +64,80 @@ MinSampleResult SampleMinStatistics(std::span<const std::int64_t> series,
 
 namespace {
 
-// P(all N draws land strictly above `threshold_count` of the n values).
-// With draws uniform over the n series entries, a draw avoids a set of
-// k entries with probability (1 - k/n) each time.
-double ProbAllAbove(std::size_t avoid_count, std::size_t n,
-                    std::size_t sample_size) {
-  const double p_avoid = 1.0 - static_cast<double>(avoid_count) /
-                               static_cast<double>(n);
-  return std::pow(p_avoid, static_cast<double>(sample_size));
+// P(min of N draws <= t) when `at_or_below` of the n entries are <= t:
+// each draw misses them with probability 1 - k/n. At N = 1 the value is
+// k/n itself, which 1 - (1 - k/n) would round off.
+double ProbAnyAtOrBelow(std::size_t at_or_below, std::size_t n,
+                        std::size_t sample_size) {
+  const double q =
+      static_cast<double>(at_or_below) / static_cast<double>(n);
+  if (sample_size == 1) {
+    return q;
+  }
+  return 1.0 - std::pow(1.0 - q, static_cast<double>(sample_size));
 }
 
 }  // namespace
 
-double ExactProbFindMin(std::span<const std::int64_t> series,
-                        std::size_t sample_size) {
+std::vector<MinSampleResult> ExactMinStatistics(
+    std::span<const std::int64_t> series,
+    std::span<const std::size_t> sample_sizes,
+    std::span<const double> margins) {
   VRD_FATAL_IF(series.empty(), "empty series");
-  const std::int64_t mn = *std::min_element(series.begin(), series.end());
-  const auto k = static_cast<std::size_t>(
-      std::count(series.begin(), series.end(), mn));
-  return 1.0 - ProbAllAbove(k, series.size(), sample_size);
-}
-
-double ExactExpectedNormalizedMin(std::span<const std::int64_t> series,
-                                  std::size_t sample_size) {
-  VRD_FATAL_IF(series.empty(), "empty series");
-  // E[min] = sum over distinct values v of v * P(min == v). Using the
-  // sorted empirical distribution: P(min > v) = ((#entries > v)/n)^N.
   std::vector<std::int64_t> sorted(series.begin(), series.end());
   std::sort(sorted.begin(), sorted.end());
   const std::size_t n = sorted.size();
-  const double mn = static_cast<double>(sorted.front());
-  VRD_FATAL_IF(mn <= 0.0, "RDT values must be positive");
+  const std::int64_t series_min = sorted.front();
+  VRD_FATAL_IF(series_min <= 0, "RDT values must be positive");
+  const double mn = static_cast<double>(series_min);
 
-  double expectation = 0.0;
-  std::size_t i = 0;
-  double prev_tail = 1.0;  // P(min > -inf) = 1
-  while (i < n) {
-    std::size_t j = i;
-    while (j < n && sorted[j] == sorted[i]) {
-      ++j;
+  // `ends[d]` is one past the last entry equal to the d-th distinct
+  // value, so the first ends[d] entries are <= that value.
+  std::vector<std::size_t> ends;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (sorted[i] != sorted[i - 1]) {
+      ends.push_back(i);
     }
-    // P(min > sorted[i]) = ((n - j)/n)^N.
-    const double tail = ProbAllAbove(j, n, sample_size);
-    const double p_equal = prev_tail - tail;
-    expectation += static_cast<double>(sorted[i]) * p_equal;
-    prev_tail = tail;
-    i = j;
   }
-  return expectation / mn;
-}
+  ends.push_back(n);
+  // Entries within each margin, with the Monte Carlo's limit.
+  std::vector<std::size_t> within(margins.size());
+  for (std::size_t m = 0; m < margins.size(); ++m) {
+    const double limit = (1.0 + margins[m]) * mn;
+    within[m] = static_cast<std::size_t>(
+        std::partition_point(sorted.begin(), sorted.end(),
+                             [&](std::int64_t v) {
+                               return static_cast<double>(v) <= limit;
+                             }) -
+        sorted.begin());
+  }
 
-double ExactProbWithinMargin(std::span<const std::int64_t> series,
-                             std::size_t sample_size, double margin) {
-  VRD_FATAL_IF(series.empty(), "empty series");
-  VRD_FATAL_IF(margin < 0.0, "margin must be non-negative");
-  const std::int64_t mn = *std::min_element(series.begin(), series.end());
-  const double limit = (1.0 + margin) * static_cast<double>(mn);
-  const auto k = static_cast<std::size_t>(std::count_if(
-      series.begin(), series.end(),
-      [&](std::int64_t v) { return static_cast<double>(v) <= limit; }));
-  return 1.0 - ProbAllAbove(k, series.size(), sample_size);
+  std::vector<MinSampleResult> out(sample_sizes.size());
+  for (std::size_t i = 0; i < sample_sizes.size(); ++i) {
+    const std::size_t sample_size = sample_sizes[i];
+    VRD_FATAL_IF(sample_size == 0, "sample_size must be positive");
+    MinSampleResult& result = out[i];
+    result.sample_size = sample_size;
+    result.prob_find_min = ProbAnyAtOrBelow(ends.front(), n, sample_size);
+    // E[min] = sum over distinct values v of v * P(min == v), where
+    // P(min == v) = P(min <= v) - P(min <= previous value).
+    double expectation = 0.0;
+    double prev_cdf = 0.0;
+    std::size_t begin = 0;
+    for (const std::size_t end : ends) {
+      const double cdf = ProbAnyAtOrBelow(end, n, sample_size);
+      expectation += static_cast<double>(sorted[begin]) * (cdf - prev_cdf);
+      prev_cdf = cdf;
+      begin = end;
+    }
+    result.expected_norm_min = expectation / mn;
+    result.prob_within_margin.reserve(margins.size());
+    for (const std::size_t k : within) {
+      result.prob_within_margin.push_back(
+          ProbAnyAtOrBelow(k, n, sample_size));
+    }
+  }
+  return out;
 }
 
 }  // namespace vrddram::stats

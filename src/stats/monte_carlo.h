@@ -1,9 +1,11 @@
 /**
  * @file
- * Monte Carlo resampling of RDT measurement series, the methodology of
- * §5.1 ("Probability of Identifying the Minimum RDT"): uniformly draw N
- * of the 1,000 measurements per iteration and study the minimum of the
- * draw relative to the minimum of the full series.
+ * The minimum-finding statistics of §5.1 ("Probability of Identifying
+ * the Minimum RDT"): uniformly draw N of the 1,000 measurements and
+ * study the minimum of the draw relative to the minimum of the full
+ * series. ExactMinStatistics computes them in closed form;
+ * SampleMinStatistics estimates them by resampling, the paper's Monte
+ * Carlo method.
  */
 #ifndef VRDDRAM_STATS_MONTE_CARLO_H
 #define VRDDRAM_STATS_MONTE_CARLO_H
@@ -19,7 +21,8 @@ namespace vrddram::stats {
 /// Outcome of resampling one series with one sample size N.
 struct MinSampleResult {
   std::size_t sample_size = 0;     ///< N measurements per iteration.
-  std::size_t iterations = 0;      ///< Monte Carlo iterations (paper: 10k).
+  /// Monte Carlo iterations (paper: 10k); 0 for the exact closed form.
+  std::size_t iterations = 0;
   double prob_find_min = 0.0;      ///< P(min of draw == min of series).
   double expected_norm_min = 0.0;  ///< E[min of draw] / min of series.
   /// P(min of draw <= (1 + margin) * min of series), one entry per
@@ -39,18 +42,18 @@ MinSampleResult SampleMinStatistics(std::span<const std::int64_t> series,
                                     std::span<const double> margins = {});
 
 /**
- * Exact (closed-form) versions of the same statistics, used to
- * cross-check the Monte Carlo estimator in tests: with i.i.d. uniform
- * draws, P(find min) = 1 - (1 - k/n)^N where k = multiplicity of the
- * minimum, and E[min of draw] follows from the order statistics of the
- * empirical distribution.
+ * Exact (closed-form) values of the statistics SampleMinStatistics
+ * estimates, under the same model of N i.i.d. uniform draws with
+ * replacement: one result per entry of `sample_sizes`, in order, with
+ * `iterations = 0`. The series is sorted once; if k entries are at or
+ * below a threshold, P(min of draw <= threshold) = 1 - (1 - k/n)^N
+ * (exactly k/n at N = 1), which gives P(find min) and each margin's
+ * probability, and E[min of draw] is a sum over the distinct values.
  */
-double ExactProbFindMin(std::span<const std::int64_t> series,
-                        std::size_t sample_size);
-double ExactExpectedNormalizedMin(std::span<const std::int64_t> series,
-                                  std::size_t sample_size);
-double ExactProbWithinMargin(std::span<const std::int64_t> series,
-                             std::size_t sample_size, double margin);
+std::vector<MinSampleResult> ExactMinStatistics(
+    std::span<const std::int64_t> series,
+    std::span<const std::size_t> sample_sizes,
+    std::span<const double> margins = {});
 
 }  // namespace vrddram::stats
 

@@ -114,6 +114,26 @@ TEST(DriverTest, HugeThreadCountRunsMinRdtExperiment) {
   EXPECT_EQ(huge.out, serial.out);
 }
 
+TEST(DriverTest, ExactMinRdtAnalysisRunsAtSmokeScale) {
+  // --iters=0 overrides fig08's smoke --iters=500 with the closed form,
+  // the default analysis; its report does not depend on --threads.
+  const std::vector<std::string> base = {
+      "run", "fig08_min_rdt_probability", "--smoke", "--iters=0",
+      "--no-cache"};
+  std::vector<std::string> serial_args = base;
+  serial_args.push_back("--threads=1");
+  std::vector<std::string> parallel_args = base;
+  parallel_args.push_back("--threads=8");
+  const DriverRun serial = Drive(serial_args);
+  const DriverRun parallel = Drive(parallel_args);
+  ASSERT_EQ(serial.exit_code, 0) << serial.err;
+  ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
+  EXPECT_NE(serial.out.find("CHECK fig08.p50_prob_find_min_n1"),
+            std::string::npos)
+      << serial.out;
+  EXPECT_EQ(parallel.out, serial.out);
+}
+
 TEST(DriverTest, ParallelAnalysisExperimentsAcceptThreads) {
   // Experiments without a campaign that fan out over the pool declare
   // --threads too, with the shared help text.

@@ -12,10 +12,12 @@ namespace vrddram::core {
 namespace {
 
 TEST(MinRdtMcTest, DefaultsMatchPaperProcedure) {
+  // The paper's N values and margins; the default analysis is the
+  // exact closed form (iterations == 0), Monte Carlo is the opt-in.
   const MinRdtSettings settings;
   EXPECT_EQ(settings.sample_sizes,
             (std::vector<std::size_t>{1, 3, 5, 10, 50, 500}));
-  EXPECT_EQ(settings.iterations, 10000u);
+  EXPECT_EQ(settings.iterations, 0u);
   EXPECT_EQ(settings.margins.size(), 5u);
 }
 
@@ -159,15 +161,48 @@ TEST(MinRdtMcTest, AnalyzeRowsMatchesPerRecordLoopAtAnyThreads) {
   }
 }
 
+TEST(MinRdtMcTest, ExactAnalyzeRowsLeavesRngUntouched) {
+  // iterations == 0 filters the sentinels and takes the closed form per
+  // record, at any worker count, without drawing from or forking `rng`.
+  const std::vector<SeriesRecord> records = SmallCampaignRecords();
+  MinRdtSettings settings;
+  settings.margins = {0.10, 0.30};
+  const std::uint64_t untouched_next = Rng(77).Next();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    Rng rng(77);
+    const std::vector<RowMinRdtResult> batch =
+        AnalyzeRows(records, settings, rng, threads);
+    EXPECT_EQ(rng.Next(), untouched_next) << "threads=" << threads;
+    ASSERT_EQ(batch.size(), records.size());
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      std::vector<std::int64_t> valid;
+      for (const std::int64_t v : records[r].series) {
+        if (v != kNoFlip) {
+          valid.push_back(v);
+        }
+      }
+      RowMinRdtResult want;
+      want.per_n = stats::ExactMinStatistics(valid, settings.sample_sizes,
+                                             settings.margins);
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " record=" << r);
+      ExpectBitEqual(batch[r], want);
+    }
+  }
+}
+
 TEST(MinRdtMcTest, AnalyzeRowsAllSentinelRowThrows) {
   std::vector<SeriesRecord> records = SmallCampaignRecords();
   records[2].series.assign(records[2].series.size(), kNoFlip);
   MinRdtSettings settings;
-  settings.iterations = 50;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    Rng rng(9);
-    EXPECT_THROW(AnalyzeRows(records, settings, rng, threads), FatalError)
-        << "threads=" << threads;
+  for (const std::size_t iterations : {std::size_t{0}, std::size_t{50}}) {
+    settings.iterations = iterations;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      Rng rng(9);
+      EXPECT_THROW(AnalyzeRows(records, settings, rng, threads),
+                   FatalError)
+          << "iterations=" << iterations << " threads=" << threads;
+    }
   }
 }
 

@@ -2,10 +2,17 @@
  * @file
  * Cross-validation between independent implementations: the Appendix A
  * analytic TestTimeModel versus the command-level Device path, and the
- * Monte Carlo resampler versus its closed forms on real campaign data.
+ * Monte Carlo resampler versus its closed form on one series from every
+ * catalog chip.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <vector>
+
+#include "core/campaign.h"
 #include "core/rdt_profiler.h"
 #include "core/test_time_model.h"
 #include "stats/monte_carlo.h"
@@ -48,30 +55,99 @@ TEST(CrossValidationTest, TimeModelMatchesDeviceCommandPath) {
       << " s";
 }
 
-TEST(CrossValidationTest, MonteCarloMatchesClosedFormOnRealSeries) {
-  auto device = vrd::BuildDevice("S2", 2025);
-  core::ProfilerConfig pc;
-  core::RdtProfiler profiler(*device, pc);
-  const auto victim = profiler.FindVictim(1, 4000);
-  ASSERT_TRUE(victim.has_value());
-  const auto series =
-      profiler.MeasureSeries(victim->row, victim->rdt_guess, 800);
+/// Variance of min(draw) / min(series) for N draws with replacement,
+/// given its mean: the spread of one Monte Carlo iteration's value.
+double NormMinVariance(std::vector<std::int64_t> series,
+                       std::size_t sample_size, double mean) {
+  std::sort(series.begin(), series.end());
+  const auto n = static_cast<double>(series.size());
+  const auto mn = static_cast<double>(series.front());
+  double second_moment = 0.0;
+  double prev_cdf = 0.0;
+  for (std::size_t i = 0; i < series.size();) {
+    std::size_t end = i;
+    while (end < series.size() && series[end] == series[i]) {
+      ++end;
+    }
+    const double cdf =
+        1.0 - std::pow(1.0 - static_cast<double>(end) / n,
+                       static_cast<double>(sample_size));
+    const double x = static_cast<double>(series[i]) / mn;
+    second_moment += x * x * (cdf - prev_cdf);
+    prev_cdf = cdf;
+    i = end;
+  }
+  return std::max(0.0, second_moment - mean * mean);
+}
 
-  std::vector<std::int64_t> valid;
-  for (const std::int64_t v : series) {
-    if (v >= 0) {
-      valid.push_back(v);
+TEST(CrossValidationTest, MonteCarloMatchesClosedFormOnRealSeries) {
+  // One 1000-measurement series from every catalog chip. Each Monte
+  // Carlo estimate is the mean of `kIterations` i.i.d. per-iteration
+  // values of known variance and range, so by Bernstein's inequality it
+  // lies within `bound` of the closed form except with probability
+  // 2·exp(-kLogTerm) = 1e-6 per comparison. The bound is about 5.4
+  // standard errors plus a range term that, unlike a plain CLT
+  // interval, covers a rare miss when a probability is near 0 or 1.
+  constexpr std::size_t kIterations = 10000;
+  const double kLogTerm = std::log(2.0 / 1e-6);
+  core::CampaignConfig config;
+  config.devices = vrd::AllDeviceNames();
+  config.rows_per_device = 1;
+  config.measurements = 1000;
+  config.scan_rows_per_region = 64;
+  const core::CampaignResult campaign = core::RunCampaign(config);
+  // The first series of each chip (a chip yields one per region).
+  std::vector<const core::SeriesRecord*> firsts;
+  for (const core::SeriesRecord& record : campaign.records) {
+    if (firsts.empty() || firsts.back()->device != record.device) {
+      firsts.push_back(&record);
     }
   }
+  ASSERT_EQ(firsts.size(), config.devices.size());
+
+  const std::size_t sizes[] = {1, 5, 50, 500};
+  const std::vector<double> margins = {0.10, 0.20, 0.30, 0.40, 0.50};
+  const auto bound = [&](double variance, double range) {
+    const double a = kLogTerm * range / 3.0;
+    return (a + std::sqrt(a * a + 2.0 * kIterations * variance * kLogTerm)) /
+           kIterations;
+  };
+  // A 0/1 indicator with mean p has variance p(1 - p) and range 1.
+  const auto binomial_bound = [&](double p) {
+    return bound(p * (1.0 - p), 1.0);
+  };
   Rng rng(3);
-  for (const std::size_t n : {1u, 10u, 100u}) {
-    const auto mc = stats::SampleMinStatistics(valid, n, 20000, rng);
-    EXPECT_NEAR(mc.prob_find_min, stats::ExactProbFindMin(valid, n),
-                0.02)
-        << "N=" << n;
-    EXPECT_NEAR(mc.expected_norm_min,
-                stats::ExactExpectedNormalizedMin(valid, n), 0.02)
-        << "N=" << n;
+  for (const core::SeriesRecord* record : firsts) {
+    std::vector<std::int64_t> valid;
+    for (const std::int64_t v : record->series) {
+      if (v >= 0) {
+        valid.push_back(v);
+      }
+    }
+    ASSERT_FALSE(valid.empty()) << record->device;
+    const auto [lo, hi] = std::minmax_element(valid.begin(), valid.end());
+    const double norm_range =
+        static_cast<double>(*hi) / static_cast<double>(*lo) - 1.0;
+    const std::vector<stats::MinSampleResult> exact =
+        stats::ExactMinStatistics(valid, sizes, margins);
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << record->device << " N=" << sizes[i]);
+      const stats::MinSampleResult mc = stats::SampleMinStatistics(
+          valid, sizes[i], kIterations, rng, margins);
+      const stats::MinSampleResult& want = exact[i];
+      EXPECT_NEAR(mc.prob_find_min, want.prob_find_min,
+                  binomial_bound(want.prob_find_min));
+      EXPECT_NEAR(mc.expected_norm_min, want.expected_norm_min,
+                  bound(NormMinVariance(valid, sizes[i],
+                                        want.expected_norm_min),
+                        norm_range));
+      for (std::size_t m = 0; m < margins.size(); ++m) {
+        EXPECT_NEAR(mc.prob_within_margin[m], want.prob_within_margin[m],
+                    binomial_bound(want.prob_within_margin[m]))
+            << "margin " << margins[m];
+      }
+    }
   }
 }
 
