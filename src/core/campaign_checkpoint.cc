@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -77,7 +78,10 @@ std::string ReadToken(std::istream& is, const char* what) {
   return token;
 }
 
-void WriteRecord(std::ostream& os, const SeriesRecord& record) {
+/// `line` is the caller's buffer, reused across records: the series
+/// line is formatted into it with to_chars and written in one call.
+void WriteRecord(std::ostream& os, const SeriesRecord& record,
+                 std::string* line) {
   os << "record " << record.device << ' '
      << static_cast<int>(record.mfr) << ' '
      << static_cast<int>(record.standard) << ' ' << record.density_gbit
@@ -86,10 +90,18 @@ void WriteRecord(std::ostream& os, const SeriesRecord& record) {
      << static_cast<int>(record.t_on) << ' '
      << DoubleToHex(record.temperature) << ' ' << record.rdt_guess << ' '
      << record.series.size() << '\n';
+  // Each value takes at most 20 characters plus its separator.
+  line->resize(21 * record.series.size() + 1);
+  char* out = line->data();
+  char* const end = out + line->size();
   for (std::size_t i = 0; i < record.series.size(); ++i) {
-    os << (i == 0 ? "" : " ") << record.series[i];
+    if (i != 0) {
+      *out++ = ' ';
+    }
+    out = std::to_chars(out, end, record.series[i]).ptr;
   }
-  os << '\n';
+  *out++ = '\n';
+  os.write(line->data(), out - line->data());
 }
 
 SeriesRecord ReadRecord(std::istream& is) {
@@ -108,9 +120,32 @@ SeriesRecord ReadRecord(std::istream& is) {
   record.temperature = ReadHexDouble(is, "record temperature");
   record.rdt_guess = ReadInt<std::uint64_t>(is, "rdt_guess");
   const auto n = ReadInt<std::size_t>(is, "series length");
+  VRD_FATAL_IF(is.get() != '\n',
+               "checkpoint: expected end of line after series length");
+  // The series line: n values, single spaces between them.
+  std::string line;
+  std::getline(is, line);
+  VRD_FATAL_IF(is.fail(), "checkpoint: missing series line");
+  // A value plus its separator takes at least two characters, so the
+  // line's own length bounds the reservation, never the count n.
+  record.series.reserve(std::min(n, line.size() / 2 + 1));
+  const char* p = line.data();
+  const char* const end = p + line.size();
   for (std::size_t i = 0; i < n; ++i) {
-    record.series.push_back(ReadInt<std::int64_t>(is, "series value"));
+    if (i != 0) {
+      VRD_FATAL_IF(p == end || *p != ' ',
+                   "checkpoint: bad integer field: series value");
+      ++p;
+    }
+    std::int64_t value = 0;
+    const auto [next, ec] = std::from_chars(p, end, value);
+    VRD_FATAL_IF(ec != std::errc(),
+                 "checkpoint: bad integer field: series value");
+    record.series.push_back(value);
+    p = next;
   }
+  VRD_FATAL_IF(p != end,
+               "checkpoint: series line holds more values than its count");
   return record;
 }
 
@@ -151,6 +186,7 @@ void WriteCheckpoint(std::ostream& os,
   os << "config " << std::hex << std::setw(16) << std::setfill('0')
      << checkpoint.config_hash << std::dec << '\n';
   os << "shards " << checkpoint.shards.size() << '\n';
+  std::string line;
   for (const CampaignCheckpoint::ShardEntry& entry : checkpoint.shards) {
     CheckToken(entry.status.device, "shard device name");
     os << "shard " << entry.index << ' ' << entry.status.device << ' '
@@ -162,7 +198,7 @@ void WriteCheckpoint(std::ostream& os,
     os << "error " << entry.status.error << '\n';
     os << "records " << entry.records.size() << '\n';
     for (const SeriesRecord& record : entry.records) {
-      WriteRecord(os, record);
+      WriteRecord(os, record, &line);
     }
   }
   os << "end\n";

@@ -18,6 +18,13 @@
  *
  * Floating-point fields are serialized as bit-cast hexadecimal, so a
  * resumed campaign is bit-identical to an uninterrupted one.
+ *
+ * Each record is a header line ending in its series length, then the
+ * series on one line: decimal values separated by single spaces. The
+ * series line is formatted with std::to_chars into one reused buffer
+ * and parsed back with std::from_chars, since it holds nearly all of a
+ * cache entry's bytes; a line with more or fewer values than its count
+ * is a FatalError. tests/core/testdata/golden.ckpt pins the bytes.
  */
 #ifndef VRDDRAM_CORE_CAMPAIGN_CHECKPOINT_H
 #define VRDDRAM_CORE_CAMPAIGN_CHECKPOINT_H

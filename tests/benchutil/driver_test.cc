@@ -98,6 +98,49 @@ TEST(DriverTest, ZeroMixesExitsTwoNamingTheFlag) {
   EXPECT_NE(run.err.find("--mixes"), std::string::npos) << run.err;
 }
 
+TEST(DriverTest, BerOutOfRangeExitsTwoNamingTheFlag) {
+  // table03 used to print its banner and then fail inside the binomial
+  // model with a message that did not name the flag.
+  for (const std::string flag : {"--ber=2", "--ber=-0.5", "--ber=1.0001"}) {
+    const DriverRun run = Drive({"run", "table03_ecc", flag});
+    EXPECT_EQ(run.exit_code, 2) << flag;
+    EXPECT_NE(run.err.find("flag --ber"), std::string::npos) << run.err;
+    EXPECT_EQ(run.out, "") << flag;
+  }
+  // The bounds themselves are rates.
+  for (const std::string flag : {"--ber=0", "--ber=1"}) {
+    const DriverRun run = Drive({"run", "table03_ecc", flag});
+    EXPECT_EQ(run.exit_code, 0) << flag << ": " << run.err;
+  }
+}
+
+TEST(DriverTest, ExactEccCrossCheckRunsAtSmokeScale) {
+  // --mc_trials=0 overrides table03's smoke --mc_trials=20000 with the
+  // default exact enumeration (it used to divide by zero trials and
+  // print measured=-nan).
+  const DriverRun run =
+      Drive({"run", "table03_ecc", "--smoke", "--mc_trials=0"});
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  for (const std::string line : {
+           "CHECK table03.enum_secded_failures_w1: paper=0 measured=0\n",
+           "CHECK table03.enum_secded_failures_w2: paper=2556 measured=2556\n",
+           "CHECK table03.enum_secded_failures_w3: paper=59640 "
+           "measured=59640\n",
+           "CHECK table03.enum_ssc_failures_w1: paper=0 measured=0\n",
+           "CHECK table03.enum_ssc_failures_w2: paper=9792 measured=9792\n",
+           "CHECK table03.enum_ssc_failures_w3: paper=486336 "
+           "measured=486336\n",
+           "CHECK table03.enum_secded_uncorrectable: paper=1.48e-05 "
+           "measured=1.48e-05\n",
+           "CHECK table03.enum_ssc_uncorrectable: paper=5.66e-05 "
+           "measured=5.66e-05\n",
+       }) {
+    EXPECT_NE(run.out.find(line), std::string::npos) << line << run.out;
+  }
+  EXPECT_EQ(run.out.find("nan"), std::string::npos) << run.out;
+  EXPECT_EQ(run.out.find("Monte Carlo"), std::string::npos) << run.out;
+}
+
 TEST(DriverTest, HugeThreadCountRunsMinRdtExperiment) {
   // Every pool is capped at its task count, so a --threads far beyond
   // what the host can start still runs, with the --threads=1 report.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/error.h"
 #include "common/rng.h"
 #include "ecc/chipkill.h"
 #include "ecc/hamming.h"
@@ -30,6 +33,25 @@ TEST(BinomialTest, TailComplementsPmf) {
               1.0 - BinomialPmf(20, 0, 0.3) - BinomialPmf(20, 1, 0.3) -
                   BinomialPmf(20, 2, 0.3),
               1e-12);
+}
+
+// 1 - sum_{j<k} pmf(j) cancels below ~1e-16: at these rates it read
+// 1.11e-16 and 0. The tail is dominated by its first term.
+TEST(BinomialTest, TailKeepsPrecisionFarBelowOne) {
+  for (const double ber : {1e-7, 1e-8}) {
+    const double leading = 59640.0 * std::pow(ber, 3.0) *
+                           std::pow(1.0 - ber, 69.0);  // C(72,3) term
+    EXPECT_NEAR(AnalyzeCode(CodeKind::kSecded, ber).undetectable,
+                leading, 1e-5 * leading)
+        << ber;
+  }
+  EXPECT_NEAR(AnalyzeCode(CodeKind::kSecded, 1e-7).undetectable,
+              5.964e-17, 0.001e-17);
+  EXPECT_NEAR(AnalyzeCode(CodeKind::kSecded, 1e-8).undetectable,
+              5.964e-20, 0.001e-20);
+  EXPECT_DOUBLE_EQ(BinomialTail(72, 72, 0.5), std::pow(0.5, 72.0));
+  EXPECT_DOUBLE_EQ(BinomialTail(72, 1, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(BinomialTail(72, 1, 0.0), 0.0);
 }
 
 // Table 3 of the paper, at the empirically observed worst bit error
@@ -131,6 +153,78 @@ TEST(AnalysisTest, MonteCarloChipkillMatchesAnalytic) {
       AnalyzeCode(CodeKind::kChipkill, ber).uncorrectable;
   EXPECT_NEAR(static_cast<double>(uncorrectable) / trials, analytic,
               analytic * 0.15);
+}
+
+std::uint64_t Choose(std::uint64_t n, std::uint64_t k) {
+  std::uint64_t result = 1;
+  for (std::uint64_t i = 1; i <= k; ++i) {
+    result = result * (n - k + i) / i;
+  }
+  return result;
+}
+
+const LowWeightFailures& Secded() {
+  static const LowWeightFailures failures = EnumerateSecdedFailures();
+  return failures;
+}
+
+const LowWeightFailures& Ssc() {
+  static const LowWeightFailures failures = EnumerateSscFailures();
+  return failures;
+}
+
+// Exhaustive low-weight enumeration through the real decoders: the
+// per-weight failure counts are combinatorial facts, and the
+// probability they give differs from the analytic model only by the
+// weight >= 4 patterns the enumeration leaves out.
+TEST(EnumerationTest, SecdedFailsOnEveryMultiBitPattern) {
+  EXPECT_EQ(Secded().bits, 72u);
+  EXPECT_EQ(Secded().failures[0], 0u);
+  EXPECT_EQ(Secded().failures[1], 0u);
+  EXPECT_EQ(Secded().failures[2], Choose(72, 2));
+  EXPECT_EQ(Secded().failures[3], Choose(72, 3));
+  EXPECT_EQ(Secded().failures[2], 2556u);
+  EXPECT_EQ(Secded().failures[3], 59640u);
+}
+
+TEST(EnumerationTest, SscCorrectsExactlyThePatternsInsideOneSymbol) {
+  EXPECT_EQ(Ssc().bits, 144u);
+  EXPECT_EQ(Ssc().failures[0], 0u);
+  for (std::uint64_t k = 1; k <= kMaxEnumeratedWeight; ++k) {
+    EXPECT_EQ(Ssc().failures[k], Choose(144, k) - 18 * Choose(8, k)) << k;
+  }
+  EXPECT_EQ(Ssc().failures[1], 0u);
+  EXPECT_EQ(Ssc().failures[2], 9792u);
+  EXPECT_EQ(Ssc().failures[3], 486336u);
+}
+
+TEST(EnumerationTest, ProbabilityWithinTailBoundOfAnalyticModel) {
+  for (const double ber : {kPaperWorstBer, 1e-3}) {
+    const struct {
+      const LowWeightFailures& failures;
+      CodeKind kind;
+    } codes[] = {{Secded(), CodeKind::kSecded}, {Ssc(), CodeKind::kChipkill}};
+    for (const auto& code : codes) {
+      const double enumerated =
+          EnumeratedFailureProbability(code.failures, ber);
+      const double analytic = AnalyzeCode(code.kind, ber).uncorrectable;
+      const double tail =
+          BinomialTail(code.failures.bits, kMaxEnumeratedWeight + 1, ber);
+      // The analytic model counts the same weight <= 3 patterns, plus
+      // at most every heavier one.
+      EXPECT_GE(analytic, enumerated * (1.0 - 1e-12))
+          << ToString(code.kind) << " at " << ber;
+      EXPECT_LE(analytic - enumerated, tail * (1.0 + 1e-12))
+          << ToString(code.kind) << " at " << ber;
+      EXPECT_GT(tail, 0.0);
+    }
+  }
+  EXPECT_NEAR(EnumeratedFailureProbability(Secded(), kPaperWorstBer),
+              1.4825e-5, 0.0001e-5);
+  EXPECT_NEAR(EnumeratedFailureProbability(Ssc(), kPaperWorstBer),
+              5.6596e-5, 0.0001e-5);
+  EXPECT_DOUBLE_EQ(EnumeratedFailureProbability(Ssc(), 0.0), 0.0);
+  EXPECT_THROW(EnumeratedFailureProbability(Ssc(), 1.5), FatalError);
 }
 
 TEST(AnalysisTest, Names) {
