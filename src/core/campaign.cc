@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -247,10 +248,9 @@ CampaignResult RunCampaign(const CampaignConfig& config,
   std::vector<char> completed(shards.size(), 0);
 
   if (config.resume) {
-    CampaignCheckpoint checkpoint;
-    if (LoadCheckpointFor(config.checkpoint_path, config_hash,
-                          &checkpoint)) {
-      for (CampaignCheckpoint::ShardEntry& entry : checkpoint.shards) {
+    if (std::optional<CampaignCheckpoint> checkpoint =
+            LoadCheckpoint(config.checkpoint_path, config_hash)) {
+      for (CampaignCheckpoint::ShardEntry& entry : checkpoint->shards) {
         VRD_FATAL_IF(entry.index >= shards.size(),
                      "checkpoint: shard index " +
                          std::to_string(entry.index) + " out of range");
@@ -271,23 +271,18 @@ CampaignResult RunCampaign(const CampaignConfig& config,
   // Persist every completed non-quarantined shard. Serialized by the
   // mutex; rewrites the whole snapshot (shard counts are small) via
   // the atomic tmp+rename in SaveCheckpoint, so an interrupt at any
-  // instant leaves a loadable file.
+  // instant leaves a loadable file. The views point at the shards'
+  // own buffers, which no worker touches once a shard has completed.
   std::mutex checkpoint_mutex;
   auto persist_completed = [&]() {
-    CampaignCheckpoint checkpoint;
-    checkpoint.config_hash = config_hash;
+    std::vector<ShardView> views;
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (completed[i] == 0 ||
-          statuses[i].state == ShardState::kQuarantined) {
-        continue;
+      if (completed[i] != 0 &&
+          statuses[i].state != ShardState::kQuarantined) {
+        views.push_back(ShardView{i, statuses[i], per_shard[i]});
       }
-      CampaignCheckpoint::ShardEntry entry;
-      entry.index = i;
-      entry.status = statuses[i];
-      entry.records = per_shard[i];
-      checkpoint.shards.push_back(std::move(entry));
     }
-    SaveCheckpoint(config.checkpoint_path, checkpoint);
+    SaveCheckpoint(config.checkpoint_path, config_hash, views);
   };
 
   auto run_one = [&](std::size_t index) {

@@ -1,12 +1,10 @@
 #include "core/campaign_cache.h"
 
-#include <cstdint>
 #include <filesystem>
-#include <iomanip>
-#include <map>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/campaign_checkpoint.h"
@@ -14,45 +12,6 @@
 namespace vrddram::core {
 
 namespace {
-
-std::string HashHex(std::uint64_t hash) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << hash;
-  return os.str();
-}
-
-bool IsComplete(const CampaignResult& result) {
-  for (const ShardStatus& status : result.shards) {
-    if (status.state == ShardState::kQuarantined) {
-      return false;
-    }
-  }
-  return !result.shards.empty();
-}
-
-/// Split the canonically ordered flat record list back into per-shard
-/// lists. Records carry the exact (device, temperature) key their
-/// shard ran with, so the match is exact.
-std::vector<CampaignCheckpoint::ShardEntry> ToShardEntries(
-    const CampaignResult& result) {
-  std::map<std::pair<std::string, double>, std::size_t> index_of;
-  std::vector<CampaignCheckpoint::ShardEntry> entries(
-      result.shards.size());
-  for (std::size_t i = 0; i < result.shards.size(); ++i) {
-    entries[i].index = i;
-    entries[i].status = result.shards[i];
-    index_of[{result.shards[i].device,
-              result.shards[i].temperature}] = i;
-  }
-  for (const SeriesRecord& record : result.records) {
-    const auto it = index_of.find({record.device, record.temperature});
-    VRD_FATAL_IF(it == index_of.end(),
-                 "campaign-cache: record for " + record.device +
-                     " matches no shard of the result being stored");
-    entries[it->second].records.push_back(record);
-  }
-  return entries;
-}
 
 CampaignResult FromCheckpoint(CampaignCheckpoint&& checkpoint) {
   CampaignResult result;
@@ -74,28 +33,27 @@ CampaignCache::CampaignCache(std::string dir) : dir_(std::move(dir)) {
 std::string CampaignCache::EntryPath(
     const CampaignConfig& config) const {
   return (std::filesystem::path(dir_) /
-          ("campaign-" + HashHex(HashCampaignConfig(config)) + ".ckpt"))
+          ("campaign-" + Hex16(HashCampaignConfig(config)) + ".ckpt"))
       .string();
 }
 
 std::optional<CampaignResult> CampaignCache::Lookup(
     const CampaignConfig& config) {
-  CampaignCheckpoint checkpoint;
-  if (LoadCheckpointFor(EntryPath(config), HashCampaignConfig(config),
-                        &checkpoint)) {
+  if (std::optional<CampaignCheckpoint> checkpoint =
+          LoadCheckpoint(EntryPath(config), HashCampaignConfig(config))) {
     // A valid entry must cover every shard of the campaign exactly
     // once (quarantined shards are never serialized). Anything less
     // is a foreign or partial file: fall through to a fresh run.
     const std::size_t expected =
         config.devices.size() * config.temperatures.size();
-    bool complete = checkpoint.shards.size() == expected;
-    for (std::size_t i = 0; complete && i < checkpoint.shards.size();
+    bool complete = checkpoint->shards.size() == expected;
+    for (std::size_t i = 0; complete && i < checkpoint->shards.size();
          ++i) {
-      complete = checkpoint.shards[i].index == i;
+      complete = checkpoint->shards[i].index == i;
     }
     if (complete) {
       ++stats_.hits;
-      return FromCheckpoint(std::move(checkpoint));
+      return FromCheckpoint(std::move(*checkpoint));
     }
   }
   ++stats_.misses;
@@ -104,14 +62,34 @@ std::optional<CampaignResult> CampaignCache::Lookup(
 
 bool CampaignCache::Store(const CampaignConfig& config,
                           const CampaignResult& result) {
-  if (!IsComplete(result)) {
+  // RunCampaign's merge and FromCheckpoint both keep each shard's
+  // records contiguous in canonical shard order, so a shard's records
+  // are the next run of records carrying its (device, temperature).
+  const std::span<const SeriesRecord> records = result.records;
+  std::vector<ShardView> views;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < result.shards.size(); ++i) {
+    const ShardStatus& status = result.shards[i];
+    if (status.state == ShardState::kQuarantined) {
+      return false;  // degraded: never cached
+    }
+    const std::size_t begin = next;
+    while (next < records.size() &&
+           records[next].device == status.device &&
+           records[next].temperature == status.temperature) {
+      ++next;
+    }
+    views.push_back(
+        ShardView{i, status, records.subspan(begin, next - begin)});
+  }
+  if (views.empty()) {
     return false;
   }
+  VRD_FATAL_IF(next != records.size(),
+               "campaign-cache: record for " + records[next].device +
+                   " is out of shard order in the result being stored");
   std::filesystem::create_directories(dir_);
-  CampaignCheckpoint checkpoint;
-  checkpoint.config_hash = HashCampaignConfig(config);
-  checkpoint.shards = ToShardEntries(result);
-  SaveCheckpoint(EntryPath(config), checkpoint);
+  SaveCheckpoint(EntryPath(config), HashCampaignConfig(config), views);
   ++stats_.stores;
   return true;
 }
@@ -123,7 +101,7 @@ CampaignResult RunCampaignCached(const CampaignConfig& config,
   if (cache == nullptr) {
     return RunCampaign(config, progress);
   }
-  const std::string key = HashHex(HashCampaignConfig(config));
+  const std::string key = Hex16(HashCampaignConfig(config));
   if (std::optional<CampaignResult> result = cache->Lookup(config)) {
     if (telemetry != nullptr) {
       *telemetry << "campaign-cache: hit " << key << " ("

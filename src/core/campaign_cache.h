@@ -14,13 +14,18 @@
  * The cache lives on disk: one checkpoint file per entry in the
  * cache directory, written with the atomic tmp+rename of
  * `SaveCheckpoint`, so a later invocation skips the campaigns
- * entirely. Every hit is a read of the entry file. No two experiments
- * of one `vrdrepro run --all` share a campaign, so an in-process layer
- * would never hit.
+ * entirely. `Store` hands the writer views into the result's own
+ * records, one span per shard, so storing copies no series (a record
+ * outside its shard's run is a FatalError naming its device); an entry
+ * is byte-identical to the final `--checkpoint` snapshot of the same
+ * campaign. Every hit is a read of the entry file through
+ * `LoadCheckpoint`. No two experiments of one `vrdrepro run --all`
+ * share a campaign, so an in-process layer would never hit.
  *
  * Only *complete* campaigns are cached: a result with a quarantined
  * shard is degraded and must be re-attempted, never replayed. A disk
- * entry whose format version or config hash does not match raises
+ * entry whose format version or config hash does not match, or that
+ * does not parse (an enum field out of range included), raises
  * `FatalError` naming the offending file — silently mixing results
  * from a different configuration is the one failure mode a
  * content-addressed store must never have.
@@ -62,6 +67,8 @@ class CampaignCache {
    * Admit a completed campaign. Results with quarantined shards are
    * rejected (returns false): they are degraded, and a resumed or
    * retried campaign must be able to re-attempt the missing shards.
+   * `result.records` must hold each shard's records contiguous, in
+   * shard order, as RunCampaign and Lookup return them.
    */
   bool Store(const CampaignConfig& config, const CampaignResult& result);
 

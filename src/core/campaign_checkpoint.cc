@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -21,19 +20,7 @@ constexpr char kMagic[] = "vrddram-campaign-checkpoint";
 
 /// Doubles round-trip as bit-cast hex so restored values are exact.
 std::string DoubleToHex(double value) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0')
-     << std::bit_cast<std::uint64_t>(value);
-  return os.str();
-}
-
-double HexToDouble(const std::string& text) {
-  std::uint64_t bits = 0;
-  std::istringstream is(text);
-  is >> std::hex >> bits;
-  VRD_FATAL_IF(is.fail() || !is.eof(),
-               "checkpoint: bad float field '" + text + "'");
-  return std::bit_cast<double>(bits);
+  return Hex16(std::bit_cast<std::uint64_t>(value));
 }
 
 /// A token the grammar stores bare must not break tokenization.
@@ -62,20 +49,39 @@ T ReadInt(std::istream& is, const char* what) {
   return value;
 }
 
-double ReadHexDouble(std::istream& is, const char* what) {
-  std::string token;
-  is >> token;
-  VRD_FATAL_IF(is.fail(),
-               std::string("checkpoint: missing float field: ") + what);
-  return HexToDouble(token);
-}
-
 std::string ReadToken(std::istream& is, const char* what) {
   std::string token;
   is >> token;
   VRD_FATAL_IF(is.fail(),
                std::string("checkpoint: missing field: ") + what);
   return token;
+}
+
+/// A field written by Hex16: a config hash or a double's bit pattern.
+std::uint64_t ReadHex(std::istream& is, const char* what) {
+  const std::string token = ReadToken(is, what);
+  const char* const end = token.data() + token.size();
+  std::uint64_t value = 0;
+  const auto [next, ec] = std::from_chars(token.data(), end, value, 16);
+  VRD_FATAL_IF(ec != std::errc() || next != end,
+               std::string("checkpoint: bad hex field ") + what + " '" +
+                   token + "'");
+  return value;
+}
+
+double ReadHexDouble(std::istream& is, const char* what) {
+  return std::bit_cast<double>(ReadHex(is, what));
+}
+
+/// An enum stored as its integer value: anything past `last` comes
+/// from a corrupted file and must not be cast into the enum.
+template <typename Enum>
+Enum ReadEnum(std::istream& is, const char* what, Enum last) {
+  const int value = ReadInt<int>(is, what);
+  VRD_FATAL_IF(value < 0 || value > static_cast<int>(last),
+               std::string("checkpoint: ") + what + " " +
+                   std::to_string(value) + " out of range");
+  return static_cast<Enum>(value);
 }
 
 /// `line` is the caller's buffer, reused across records: the series
@@ -108,15 +114,13 @@ SeriesRecord ReadRecord(std::istream& is) {
   Expect(is, "record");
   SeriesRecord record;
   record.device = ReadToken(is, "record device");
-  record.mfr = static_cast<vrd::Manufacturer>(ReadInt<int>(is, "mfr"));
-  record.standard =
-      static_cast<dram::Standard>(ReadInt<int>(is, "standard"));
+  record.mfr = ReadEnum(is, "mfr", vrd::Manufacturer::kMfrS);
+  record.standard = ReadEnum(is, "standard", dram::Standard::kHbm2);
   record.density_gbit = ReadInt<std::uint32_t>(is, "density");
   record.die_rev = static_cast<char>(ReadInt<int>(is, "die_rev"));
   record.row = ReadInt<dram::RowAddr>(is, "row");
-  record.pattern =
-      static_cast<dram::DataPattern>(ReadInt<int>(is, "pattern"));
-  record.t_on = static_cast<TOnChoice>(ReadInt<int>(is, "t_on"));
+  record.pattern = ReadEnum(is, "pattern", dram::DataPattern::kCheckered1);
+  record.t_on = ReadEnum(is, "t_on", TOnChoice::kNineTrefi);
   record.temperature = ReadHexDouble(is, "record temperature");
   record.rdt_guess = ReadInt<std::uint64_t>(is, "rdt_guess");
   const auto n = ReadInt<std::size_t>(is, "series length");
@@ -151,6 +155,12 @@ SeriesRecord ReadRecord(std::istream& is) {
 
 }  // namespace
 
+std::string Hex16(std::uint64_t value) {
+  char digits[16];
+  char* const end = std::to_chars(digits, digits + 16, value, 16).ptr;
+  return std::string(16 - (end - digits), '0').append(digits, end);
+}
+
 std::uint64_t HashCampaignConfig(const CampaignConfig& config) {
   // Canonical string over the result-defining fields only (see header:
   // execution knobs are excluded on purpose).
@@ -180,24 +190,23 @@ std::uint64_t HashCampaignConfig(const CampaignConfig& config) {
   return HashLabel(0x5a6ec4a1, os.str());
 }
 
-void WriteCheckpoint(std::ostream& os,
-                     const CampaignCheckpoint& checkpoint) {
+void WriteCheckpoint(std::ostream& os, std::uint64_t config_hash,
+                     std::span<const ShardView> shards) {
   os << kMagic << ' ' << CampaignCheckpoint::kFormatVersion << '\n';
-  os << "config " << std::hex << std::setw(16) << std::setfill('0')
-     << checkpoint.config_hash << std::dec << '\n';
-  os << "shards " << checkpoint.shards.size() << '\n';
+  os << "config " << Hex16(config_hash) << '\n';
+  os << "shards " << shards.size() << '\n';
   std::string line;
-  for (const CampaignCheckpoint::ShardEntry& entry : checkpoint.shards) {
-    CheckToken(entry.status.device, "shard device name");
-    os << "shard " << entry.index << ' ' << entry.status.device << ' '
-       << DoubleToHex(entry.status.temperature) << ' '
-       << static_cast<int>(entry.status.state) << ' '
-       << entry.status.attempts << ' ' << entry.status.backoff_ticks
-       << '\n';
+  for (const ShardView& shard : shards) {
+    const ShardStatus& status = shard.status;
+    CheckToken(status.device, "shard device name");
+    os << "shard " << shard.index << ' ' << status.device << ' '
+       << DoubleToHex(status.temperature) << ' '
+       << static_cast<int>(status.state) << ' ' << status.attempts << ' '
+       << status.backoff_ticks << '\n';
     // Free-text field: keep it on its own line so tokens stay clean.
-    os << "error " << entry.status.error << '\n';
-    os << "records " << entry.records.size() << '\n';
-    for (const SeriesRecord& record : entry.records) {
+    os << "error " << status.error << '\n';
+    os << "records " << shard.records.size() << '\n';
+    for (const SeriesRecord& record : shard.records) {
       WriteRecord(os, record, &line);
     }
   }
@@ -215,13 +224,7 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
                    std::to_string(CampaignCheckpoint::kFormatVersion));
   CampaignCheckpoint checkpoint;
   Expect(is, "config");
-  {
-    const std::string token = ReadToken(is, "config hash");
-    std::istringstream hex(token);
-    hex >> std::hex >> checkpoint.config_hash;
-    VRD_FATAL_IF(hex.fail() || !hex.eof(),
-                 "checkpoint: bad config hash '" + token + "'");
-  }
+  checkpoint.config_hash = ReadHex(is, "config hash");
   Expect(is, "shards");
   // Counts are read from the file, so nothing reserves on them: a
   // corrupted count must fail on the first missing token with a
@@ -233,10 +236,10 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
     entry.index = ReadInt<std::size_t>(is, "shard index");
     entry.status.device = ReadToken(is, "shard device");
     entry.status.temperature = ReadHexDouble(is, "shard temperature");
+    // Quarantined shards are never checkpointed: kRetried is the last
+    // state a file may hold.
     entry.status.state =
-        static_cast<ShardState>(ReadInt<int>(is, "shard state"));
-    VRD_FATAL_IF(entry.status.state == ShardState::kQuarantined,
-                 "checkpoint: quarantined shards are never checkpointed");
+        ReadEnum(is, "shard state", ShardState::kRetried);
     entry.status.attempts = ReadInt<std::uint64_t>(is, "shard attempts");
     entry.status.backoff_ticks = ReadInt<Tick>(is, "shard backoff");
     entry.status.from_checkpoint = true;
@@ -265,14 +268,14 @@ CampaignCheckpoint ReadCheckpoint(std::istream& is) {
   return checkpoint;
 }
 
-void SaveCheckpoint(const std::string& path,
-                    const CampaignCheckpoint& checkpoint) {
+void SaveCheckpoint(const std::string& path, std::uint64_t config_hash,
+                    std::span<const ShardView> shards) {
   VRD_FATAL_IF(path.empty(), "checkpoint: empty path");
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::trunc);
     VRD_FATAL_IF(!os, "checkpoint: cannot open '" + tmp + "' for writing");
-    WriteCheckpoint(os, checkpoint);
+    WriteCheckpoint(os, config_hash, shards);
     os.close();
     VRD_FATAL_IF(!os, "checkpoint: failed to finish writing '" + tmp + "'");
   }
@@ -280,38 +283,28 @@ void SaveCheckpoint(const std::string& path,
                "checkpoint: cannot rename '" + tmp + "' to '" + path + "'");
 }
 
-bool LoadCheckpoint(const std::string& path, CampaignCheckpoint* out) {
-  VRD_ASSERT(out != nullptr);
+std::optional<CampaignCheckpoint> LoadCheckpoint(
+    const std::string& path, std::uint64_t expected_config_hash) {
   std::ifstream is(path);
   if (!is) {
-    return false;  // nothing to resume
+    return std::nullopt;  // nothing to resume
   }
+  CampaignCheckpoint checkpoint;
   try {
-    *out = ReadCheckpoint(is);
+    checkpoint = ReadCheckpoint(is);
   } catch (const FatalError& e) {
     // Re-raise with the offending file named: the grammar-level
     // messages have no way to know which path they came from.
     throw FatalError("checkpoint '" + path + "': " + e.what());
   }
-  return true;
-}
-
-bool LoadCheckpointFor(const std::string& path,
-                       std::uint64_t expected_config_hash,
-                       CampaignCheckpoint* out) {
-  if (!LoadCheckpoint(path, out)) {
-    return false;
+  if (checkpoint.config_hash != expected_config_hash) {
+    throw FatalError("checkpoint '" + path + "': config hash " +
+                     Hex16(checkpoint.config_hash) +
+                     " does not match the requested campaign's hash " +
+                     Hex16(expected_config_hash) +
+                     "; it belongs to a different configuration");
   }
-  if (out->config_hash != expected_config_hash) {
-    std::ostringstream os;
-    os << "checkpoint '" << path << "': config hash " << std::hex
-       << std::setw(16) << std::setfill('0') << out->config_hash
-       << " does not match the requested campaign's hash " << std::setw(16)
-       << std::setfill('0') << expected_config_hash
-       << "; it belongs to a different configuration";
-    throw FatalError(os.str());
-  }
-  return true;
+  return checkpoint;
 }
 
 }  // namespace vrddram::core

@@ -16,8 +16,14 @@
  * records. Loading rejects a version or config-hash mismatch with
  * FatalError rather than silently mixing incompatible results.
  *
+ * One writer serves both callers and copies no record: it takes
+ * `ShardView`s into the records where they live (`RunCampaign`'s
+ * per-shard buffers, a cached `CampaignResult`). One loader reads a
+ * file back and checks its config hash.
+ *
  * Floating-point fields are serialized as bit-cast hexadecimal, so a
- * resumed campaign is bit-identical to an uninterrupted one.
+ * resumed campaign is bit-identical to an uninterrupted one. An enum
+ * field out of its declared range is a FatalError, never a cast.
  *
  * Each record is a header line ending in its series length, then the
  * series on one line: decimal values separated by single spaces. The
@@ -31,6 +37,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +46,7 @@
 
 namespace vrddram::core {
 
+/// A checkpoint as read back from disk, owning its records.
 struct CampaignCheckpoint {
   /// Bump when the on-disk grammar changes incompatibly.
   static constexpr std::uint32_t kFormatVersion = 1;
@@ -53,40 +62,43 @@ struct CampaignCheckpoint {
   std::vector<ShardEntry> shards;
 };
 
+/// One shard as the writer stores it, viewing the caller's data.
+struct ShardView {
+  std::size_t index;  ///< position in the canonical shard order
+  const ShardStatus& status;
+  std::span<const SeriesRecord> records;
+};
+
+/// A config hash (or a double's bits) as 16 zero-padded hex digits.
+std::string Hex16(std::uint64_t value);
+
 /// Hash of the result-defining configuration fields (see file docs).
 std::uint64_t HashCampaignConfig(const CampaignConfig& config);
 
-/// Serialize / parse the checkpoint grammar. Parse errors and stream
-/// failures raise FatalError.
-void WriteCheckpoint(std::ostream& os, const CampaignCheckpoint& checkpoint);
+/// Serialize (`shards` in ascending `index`) / parse the checkpoint
+/// grammar. Parse errors and stream failures raise FatalError.
+void WriteCheckpoint(std::ostream& os, std::uint64_t config_hash,
+                     std::span<const ShardView> shards);
 CampaignCheckpoint ReadCheckpoint(std::istream& is);
 
 /**
- * Atomically persist `checkpoint` to `path`: the snapshot is written
+ * Atomically persist a checkpoint to `path`: the snapshot is written
  * to `path + ".tmp"` and renamed over the target, so a crash mid-save
  * leaves either the previous checkpoint or the new one, never a
  * truncated file. Raises FatalError on I/O failure.
  */
-void SaveCheckpoint(const std::string& path,
-                    const CampaignCheckpoint& checkpoint);
+void SaveCheckpoint(const std::string& path, std::uint64_t config_hash,
+                    std::span<const ShardView> shards);
 
 /**
- * Load the checkpoint at `path` into `out`. Returns false (leaving
- * `out` untouched) when the file does not exist — the "nothing to
- * resume" case. Malformed content raises FatalError.
+ * Load the checkpoint at `path`; nullopt when the file does not exist
+ * (nothing to resume). Malformed content, a format-version mismatch
+ * and a config hash other than `expected_config_hash` raise FatalError
+ * naming `path`, so a stale `--resume` file or a foreign cache entry
+ * is always attributable.
  */
-bool LoadCheckpoint(const std::string& path, CampaignCheckpoint* out);
-
-/**
- * LoadCheckpoint, then verify the stored config hash matches
- * `expected_config_hash`. Both rejection paths — format-version
- * mismatch and config-hash mismatch — raise FatalError naming `path`,
- * so a stale `--resume` file or a foreign cache entry is always
- * attributable. Returns false when the file does not exist.
- */
-bool LoadCheckpointFor(const std::string& path,
-                       std::uint64_t expected_config_hash,
-                       CampaignCheckpoint* out);
+std::optional<CampaignCheckpoint> LoadCheckpoint(
+    const std::string& path, std::uint64_t expected_config_hash);
 
 }  // namespace vrddram::core
 

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/campaign.h"
@@ -65,6 +69,13 @@ void ExpectResultsIdentical(const CampaignResult& expected,
               actual.shards[i].temperature);
     EXPECT_EQ(expected.shards[i].state, actual.shards[i].state);
   }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
 }
 
 TEST(CampaignCacheTest, LookupAfterStoreIsServedFromDisk) {
@@ -163,6 +174,72 @@ TEST(CampaignCacheTest, RefusesToStoreQuarantinedCampaigns) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CampaignCacheTest, EntryIsByteIdenticalToTheFinalCheckpoint) {
+  // --checkpoint snapshots and cache entries share one writer: once
+  // every shard has completed, the snapshot RunCampaign left behind is
+  // the entry Store writes, byte for byte. S2@80 fails once and is
+  // retried; with no data pattern, every shard completes with no
+  // records (no shard of a measuring campaign ever does).
+  CampaignConfig measuring = TinyConfig();
+  CampaignConfig recording_nothing = TinyConfig();
+  recording_nothing.patterns.clear();
+  for (CampaignConfig config : {measuring, recording_nothing}) {
+    const std::string dir = TempCacheDir("one_writer");
+    std::filesystem::create_directories(dir);
+    config.threads = 2;
+    config.inject = "core.campaign.shard:p=1,attempt_lt=1,match=S2@80";
+    config.checkpoint_path = dir + "/snapshot.ckpt";
+    const CampaignResult result = RunCampaign(config);
+    EXPECT_EQ(result.records.empty(), config.patterns.empty());
+    ASSERT_EQ(result.shards.size(), 4u);
+    EXPECT_EQ(result.shards[3].state, ShardState::kRetried);
+    EXPECT_FALSE(result.shards[3].error.empty());
+
+    CampaignCache cache(dir);
+    ASSERT_TRUE(cache.Store(config, result));
+    const std::string snapshot = ReadFile(config.checkpoint_path);
+    EXPECT_NE(snapshot.find("\nshards 4\n"), std::string::npos);
+    EXPECT_EQ(snapshot, ReadFile(cache.EntryPath(config)));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CampaignCacheTest, StoreRejectsRecordsOutOfShardOrderNamingDevice) {
+  // Store slices each shard's records out of the flat list, so a record
+  // that does not sit in its shard's run is a FatalError naming its
+  // device, raised before anything is written.
+  const std::string dir = TempCacheDir("out_of_order");
+  const CampaignConfig config = TinyConfig();
+  const CampaignResult fresh = RunCampaign(config);
+  ASSERT_EQ(fresh.records.front().device, "M1");
+  ASSERT_EQ(fresh.records.back().device, "S2");
+
+  CampaignResult moved = fresh;  // an M1@50 series after S2@80's
+  std::rotate(moved.records.begin(), moved.records.begin() + 1,
+              moved.records.end());
+  CampaignResult foreign = fresh;  // a series no shard of it ran
+  foreign.records.push_back(fresh.records.front());
+  foreign.records.back().device = "H0";
+  for (const auto& [result, device] :
+       {std::pair{&moved, "M1"}, std::pair{&foreign, "H0"}}) {
+    SCOPED_TRACE(device);
+    CampaignCache cache(dir);
+    try {
+      cache.Store(config, *result);
+      FAIL() << "expected FatalError for a record out of shard order";
+    } catch (const FatalError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("record for " + std::string(device)),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_FALSE(std::filesystem::exists(cache.EntryPath(config)));
+    EXPECT_FALSE(std::filesystem::exists(cache.EntryPath(config) + ".tmp"));
+    EXPECT_EQ(cache.stats().stores, 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CampaignCacheTest, PartialEntryIsAMissNotAnError) {
   const std::string dir = TempCacheDir("partial");
   const CampaignConfig config = TinyConfig();
@@ -173,10 +250,16 @@ TEST(CampaignCacheTest, PartialEntryIsAMissNotAnError) {
   // Truncate the entry to fewer shards than the campaign defines —
   // as an interrupted checkpoint would be. A fresh cache must treat
   // that as a miss, not serve half a campaign.
-  CampaignCheckpoint checkpoint;
-  ASSERT_TRUE(LoadCheckpoint(cache.EntryPath(config), &checkpoint));
-  checkpoint.shards.pop_back();
-  SaveCheckpoint(cache.EntryPath(config), checkpoint);
+  const std::uint64_t hash = HashCampaignConfig(config);
+  const std::optional<CampaignCheckpoint> checkpoint =
+      LoadCheckpoint(cache.EntryPath(config), hash);
+  ASSERT_TRUE(checkpoint.has_value());
+  std::vector<ShardView> views;
+  for (const CampaignCheckpoint::ShardEntry& entry : checkpoint->shards) {
+    views.push_back(ShardView{entry.index, entry.status, entry.records});
+  }
+  views.pop_back();
+  SaveCheckpoint(cache.EntryPath(config), hash, views);
 
   CampaignCache reopened(dir);
   EXPECT_FALSE(reopened.Lookup(config).has_value());

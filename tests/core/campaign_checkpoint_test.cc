@@ -3,8 +3,9 @@
  * file byte for byte (so the on-disk format never drifts), the reader
  * round-trips it, and a seeded mutation run over a real cache entry
  * (truncations, byte flips, inflated counts, series lines with too many
- * or too few values) ends every input in a parse, a cache miss, or a
- * FatalError naming the file.
+ * or too few values, out-of-range enum fields) ends every input in a
+ * parse with valid fields, a cache miss, or a FatalError naming the
+ * file.
  */
 #include "core/campaign_checkpoint.h"
 
@@ -23,6 +24,9 @@
 #include "core/campaign.h"
 #include "core/campaign_cache.h"
 #include "core/rdt_profiler.h"
+#include "dram/timing.h"
+#include "dram/types.h"
+#include "vrd/chip_catalog.h"
 
 namespace vrddram::core {
 namespace {
@@ -102,9 +106,18 @@ std::string GoldenText() {
   return ReadFile(std::string(VRD_TESTDATA_DIR) + "/golden.ckpt");
 }
 
+/// Views of every shard of an owning checkpoint, as the writer takes.
+std::vector<ShardView> ViewsOf(const CampaignCheckpoint& checkpoint) {
+  std::vector<ShardView> views;
+  for (const CampaignCheckpoint::ShardEntry& entry : checkpoint.shards) {
+    views.push_back(ShardView{entry.index, entry.status, entry.records});
+  }
+  return views;
+}
+
 std::string Serialize(const CampaignCheckpoint& checkpoint) {
   std::ostringstream os;
-  WriteCheckpoint(os, checkpoint);
+  WriteCheckpoint(os, checkpoint.config_hash, ViewsOf(checkpoint));
   return os.str();
 }
 
@@ -225,6 +238,32 @@ std::string WithLastToken(const std::string& text, std::size_t line,
   return text.substr(0, space + 1) + value + text.substr(end);
 }
 
+/// `text` with token `token` (0 = the keyword) of the line starting at
+/// `line` replaced.
+std::string WithToken(const std::string& text, std::size_t line,
+                      int token, const std::string& value) {
+  std::size_t begin = line;
+  for (int t = 0; t < token; ++t) {
+    begin = text.find(' ', begin) + 1;
+  }
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.substr(0, begin) + value + text.substr(end);
+}
+
+/// Every enum of a parsed result holds a declared value: the ToString
+/// of each raises on any other.
+void ExpectValidEnums(const CampaignResult& result, std::size_t input) {
+  for (const ShardStatus& status : result.shards) {
+    EXPECT_NO_THROW(FormatShardStatus(status)) << "input " << input;
+  }
+  for (const SeriesRecord& record : result.records) {
+    EXPECT_NO_THROW(vrd::ToString(record.mfr)) << "input " << input;
+    EXPECT_NO_THROW(dram::ToString(record.standard)) << "input " << input;
+    EXPECT_NO_THROW(dram::ToString(record.pattern)) << "input " << input;
+    EXPECT_NO_THROW(ToString(record.t_on)) << "input " << input;
+  }
+}
+
 TEST(CampaignCheckpointTest, MutatedCacheEntriesParseMissOrFailNamingFile) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "vrddram_ckpt_fuzz")
@@ -288,6 +327,43 @@ TEST(CampaignCheckpointTest, MutatedCacheEntriesParseMissOrFailNamingFile) {
                                    std::to_string(shard_count - 1)));
   }
 
+  // One out-of-range value per enum field (record: mfr, standard,
+  // pattern, t_on; shard: state). Each must fail naming the file.
+  std::vector<std::string> out_of_range;
+  const std::size_t record = LinesStartingWith(original, "record ")[0];
+  const std::size_t shard = LinesStartingWith(original, "shard ")[0];
+  const struct {
+    std::size_t line;
+    int token;
+    std::vector<std::string> values;
+  } enum_fields[] = {
+      {record, 2, {"3", "7", "-1", "256"}},
+      {record, 3, {"3", "255"}},
+      {record, 7, {"4", "-1"}},
+      {record, 8, {"3", "9"}},
+      {shard, 4, {"2", "5", "-1"}},
+  };
+  for (const auto& field : enum_fields) {
+    for (const std::string& value : field.values) {
+      out_of_range.push_back(
+          WithToken(original, field.line, field.token, value));
+      ASSERT_NE(out_of_range.back(), original);
+    }
+  }
+  for (const std::string& text : out_of_range) {
+    WriteFile(path, text);
+    try {
+      CampaignCache(dir).Lookup(config);
+      ADD_FAILURE() << "out-of-range enum parsed:\n"
+                    << text.substr(0, text.find("\nrecords"));
+    } catch (const FatalError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    }
+  }
+  inputs.insert(inputs.end(), out_of_range.begin(), out_of_range.end());
+
   std::size_t parsed = 0;
   std::size_t missed = 0;
   std::size_t failed = 0;
@@ -295,8 +371,9 @@ TEST(CampaignCheckpointTest, MutatedCacheEntriesParseMissOrFailNamingFile) {
     WriteFile(path, inputs[i]);
     CampaignCache reader(dir);
     try {
-      if (reader.Lookup(config).has_value()) {
+      if (const auto result = reader.Lookup(config)) {
         ++parsed;
+        ExpectValidEnums(*result, i);
       } else {
         ++missed;
       }

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,7 +86,8 @@ TEST(CampaignCheckpointTest, RoundTripPreservesEverything) {
   checkpoint.shards.push_back(entry);
 
   std::stringstream buffer;
-  WriteCheckpoint(buffer, checkpoint);
+  const ShardView view{entry.index, entry.status, entry.records};
+  WriteCheckpoint(buffer, checkpoint.config_hash, {&view, 1});
   const CampaignCheckpoint loaded = ReadCheckpoint(buffer);
 
   EXPECT_EQ(loaded.config_hash, checkpoint.config_hash);
@@ -135,9 +137,8 @@ TEST(CampaignCheckpointTest, ConfigHashTracksResultsNotExecution) {
 }
 
 TEST(CampaignCheckpointTest, LoadReturnsFalseForMissingFile) {
-  CampaignCheckpoint out;
   EXPECT_FALSE(
-      LoadCheckpoint(TempCheckpointPath("does_not_exist"), &out));
+      LoadCheckpoint(TempCheckpointPath("does_not_exist"), 0).has_value());
 }
 
 TEST(CampaignResilienceTest, ResumeAfterInterruptIsBitIdentical) {
@@ -169,14 +170,14 @@ TEST(CampaignResilienceTest, ResumeAfterInterruptIsBitIdentical) {
     // three shards preceding S2@80 in canonical order; at eight the
     // abort races shard startup, so anything from zero (no file yet)
     // to three is legitimate — resume handles every case.
-    CampaignCheckpoint snapshot;
-    const bool have_snapshot = LoadCheckpoint(path, &snapshot);
+    const std::optional<CampaignCheckpoint> snapshot =
+        LoadCheckpoint(path, HashCampaignConfig(base));
     if (workers == 1) {
-      ASSERT_TRUE(have_snapshot);
-      EXPECT_EQ(snapshot.shards.size(), 3u);
+      ASSERT_TRUE(snapshot.has_value());
+      EXPECT_EQ(snapshot->shards.size(), 3u);
     }
-    if (have_snapshot) {
-      EXPECT_LT(snapshot.shards.size(), 4u) << "failed shard checkpointed?";
+    if (snapshot) {
+      EXPECT_LT(snapshot->shards.size(), 4u) << "failed shard checkpointed?";
     }
 
     CampaignConfig resumed = base;
@@ -193,7 +194,7 @@ TEST(CampaignResilienceTest, ResumeAfterInterruptIsBitIdentical) {
       EXPECT_NE(status.state, ShardState::kQuarantined);
       restored += status.from_checkpoint ? 1u : 0u;
     }
-    EXPECT_EQ(restored, have_snapshot ? snapshot.shards.size() : 0u)
+    EXPECT_EQ(restored, snapshot ? snapshot->shards.size() : 0u)
         << "workers=" << workers;
     std::filesystem::remove(path);
   }
@@ -238,9 +239,10 @@ TEST(CampaignResilienceTest, QuarantineLeavesSurvivorsByteIdentical) {
 
   // Quarantined shards are never checkpointed: a later resume
   // re-attempts them (and succeeds once the fault is gone).
-  CampaignCheckpoint snapshot;
-  ASSERT_TRUE(LoadCheckpoint(path, &snapshot));
-  EXPECT_EQ(snapshot.shards.size(), 2u);
+  const std::optional<CampaignCheckpoint> snapshot =
+      LoadCheckpoint(path, HashCampaignConfig(base));
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->shards.size(), 2u);
   CampaignConfig healed = base;
   healed.checkpoint_path = path;
   healed.resume = true;
