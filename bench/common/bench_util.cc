@@ -137,13 +137,24 @@ std::vector<std::string> ResolveDevices(const std::string& spec) {
   if (spec == "hbm2") {
     return vrd::Hbm2ChipNames();
   }
+  const std::vector<std::string>& catalog = vrd::AllDeviceNames();
   std::vector<std::string> names;
   std::istringstream is(spec);
   std::string token;
   while (std::getline(is, token, ',')) {
-    if (!token.empty()) {
-      names.push_back(token);
+    if (token.empty()) {
+      continue;
     }
+    if (std::find(catalog.begin(), catalog.end(), token) == catalog.end()) {
+      std::string known;
+      for (const std::string& name : catalog) {
+        known += (known.empty() ? "" : ",") + name;
+      }
+      VRD_FATAL_IF(true, "unknown device name '" + token +
+                             "' in --devices (all, ddr4, hbm2, or a "
+                             "comma list of: " + known + ")");
+    }
+    names.push_back(token);
   }
   VRD_FATAL_IF(names.empty(), "no devices in --devices spec");
   return names;
@@ -151,15 +162,6 @@ std::vector<std::string> ResolveDevices(const std::string& spec) {
 
 std::size_t ResolveThreads(const Flags& flags) {
   return static_cast<std::size_t>(flags.GetUint("threads"));
-}
-
-void ApplyResilienceFlags(const Flags& flags,
-                          core::CampaignConfig* config) {
-  config->checkpoint_path = flags.GetString("checkpoint");
-  config->resume = flags.GetBool("resume");
-  config->inject = flags.GetString("inject");
-  config->max_attempts =
-      static_cast<std::size_t>(flags.GetUint("max_attempts"));
 }
 
 void PrintShardSummary(std::ostream& os,

@@ -72,23 +72,14 @@ class Flags {
 };
 
 /// Resolve a --devices= flag value: "all", "ddr4", "hbm2", or a
-/// comma-separated list of catalog names.
+/// comma-separated list of catalog names. A name not in the catalog
+/// raises FatalError naming it and listing the catalog.
 std::vector<std::string> ResolveDevices(const std::string& spec);
 
 /// Resolve the --threads= flag for the campaign executor and the
 /// parallel analysis loops: 0 selects hardware_concurrency, 1 forces
 /// the serial path. Results are bit-identical for every value.
 std::size_t ResolveThreads(const Flags& flags);
-
-/**
- * Apply the campaign resilience flags shared by every campaign bench:
- * --checkpoint=FILE (persist completed shards), --resume (restore
- * shards from the checkpoint instead of re-running them),
- * --inject=SPEC (fault-injection plan, fi::FaultPlan grammar) and
- * --max_attempts=N (attempts per shard before quarantine).
- */
-void ApplyResilienceFlags(const Flags& flags,
-                          core::CampaignConfig* config);
 
 /// Print the per-shard execution summary (ok/retried/quarantined
 /// counts plus one line for each shard that did not run clean).

@@ -10,6 +10,15 @@
  * time; the `vrdrepro` driver (bench/common/driver.h) is the only
  * main() over them.
  *
+ * The eight campaign experiments (fig07-fig12, fig15, table07) run
+ * the paper's one §5 procedure and vary one test parameter each, so
+ * the procedure is declared here once: a `CampaignProcedure` gives
+ * their shared flags and builds their `core::CampaignConfig`, and
+ * `AnalyzeMinRdt` is the min-RDT step of the seven that ask how likely
+ * N measurements are to find a row's minimum RDT. An experiment file
+ * keeps only its varied axis, its defaults, its salt, its sample sizes
+ * and its tables and CHECK lines.
+ *
  * The split between `build_campaign` and `analyze` is what lets the
  * driver skip measurement work across runs: with `--cache_dir` it
  * resolves each campaign through an on-disk `core::CampaignCache`
@@ -20,14 +29,17 @@
 #ifndef VRDDRAM_BENCH_COMMON_EXPERIMENT_H
 #define VRDDRAM_BENCH_COMMON_EXPERIMENT_H
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bench_util.h"
 #include "core/campaign.h"
+#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 
@@ -48,8 +60,8 @@ struct ExperimentSpec {
   /// One-line summary shown by `vrdrepro list`.
   std::string description;
 
-  /// Every knob the experiment accepts. Campaign experiments append
-  /// CampaignFlagSpecs() for the shared execution flags.
+  /// Every knob the experiment accepts. Campaign experiments take
+  /// theirs from CampaignProcedure::Schema.
   std::vector<FlagSpec> flags;
 
   /// Tiny-parameter invocation used by `vrdrepro run --smoke` and the
@@ -101,24 +113,61 @@ struct ExperimentRegistrar {
     (factory)                                        \
   }
 
-/// The --threads flag: worker threads for the campaign and the
-/// parallel analysis loops. Campaign experiments get it through
-/// CampaignFlagSpecs(); experiments without a campaign that fan out
-/// declare it themselves and read it with ResolveThreads().
+/// The knobs several experiments share, each declared with its help
+/// text once. --threads sizes the campaign and the parallel analysis
+/// loops; experiments without a campaign that fan out declare it
+/// themselves and read it with ResolveThreads().
 FlagSpec ThreadsFlagSpec();
+FlagSpec DevicesFlagSpec(std::string default_value = "all");
+FlagSpec RowsFlagSpec(std::string default_value);
+FlagSpec SeedFlagSpec();
+FlagSpec ScanFlagSpec();
 
-/// The execution flags shared by every campaign experiment
-/// (--threads, --checkpoint, --resume, --inject, --max_attempts).
-/// Appended to a spec's own FlagSpecs; values are applied to the
-/// built config by ApplyCampaignExecutionFlags.
-std::vector<FlagSpec> CampaignFlagSpecs();
+/**
+ * The paper's §5 characterization procedure, which fig07-fig12, fig15
+ * and table07 run with one test parameter varied each: select victim
+ * rows per bank region (--scan), measure each of --rows victims per
+ * device --measurements times (1,000 in the paper) from --seed, on
+ * --devices. A constexpr instance per experiment holds its defaults.
+ */
+struct CampaignProcedure {
+  /// Default of --devices; empty when the experiment fixes its device
+  /// set itself and declares no --devices (fig09: the DDR4 modules).
+  std::string_view devices = "all";
+  /// Default of --rows, the victim rows per device.
+  std::string_view rows = "6";
+  /// Declares --iters: the experiment analyzes through AnalyzeMinRdt.
+  bool min_rdt = true;
 
-/// Convenience: `specs` followed by CampaignFlagSpecs().
-std::vector<FlagSpec> WithCampaignFlags(std::vector<FlagSpec> specs);
+  /// The schema: [--devices], --rows, --measurements, --seed, --scan,
+  /// [--iters], then `own`, then the execution flags --threads,
+  /// --checkpoint, --resume, --inject and --max_attempts.
+  std::vector<FlagSpec> Schema(std::vector<FlagSpec> own = {}) const;
 
-/// Apply --threads and the resilience flags to a built config.
-void ApplyCampaignExecutionFlags(const Flags& flags,
-                                 core::CampaignConfig* config);
+  /// The campaign those flags select, with the execution flags
+  /// applied. The experiment then sets its varied axis (patterns,
+  /// t_ons, temperatures, the thermal rig, or a fixed device set).
+  core::CampaignConfig Build(const Flags& flags) const;
+};
+
+/// What AnalyzeMinRdt computed: the settings it ran with (--iters
+/// applied) and one result per campaign record, in record order.
+struct MinRdtAnalysis {
+  core::MinRdtSettings settings;
+  std::vector<core::RowMinRdtResult> rows;
+};
+
+/**
+ * The min-RDT step of the seven min-RDT experiments: prints the shard
+ * summary, then estimates, for every record, how likely N of its
+ * measurements are to find its minimum RDT (core::AnalyzeRows) with
+ * `settings` and --iters. The closed form (--iters=0) is serial; the
+ * Monte Carlo opt-in fans its rows x N tasks out over --threads
+ * workers from Rng(--seed ^ salt), with the same results at any count.
+ */
+MinRdtAnalysis AnalyzeMinRdt(const core::CampaignResult& result,
+                             Report* report, std::uint64_t salt,
+                             core::MinRdtSettings settings = {});
 
 }  // namespace vrddram::bench
 

@@ -132,7 +132,7 @@ ExperimentSpec AblationFaultModelSpec() {
       "Ablation of the trap fault model's components";
   spec.flags = {
       {"measurements", "20000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000"};
   spec.analyze = AnalyzeAblationFaultModel;

@@ -134,11 +134,10 @@ ExperimentSpec AblationSecuritySpec() {
   spec.description =
       "Security of static vs. online-profiled RDT guardbands";
   spec.flags = {
-      {"devices", "H3,M1,S2",
-       "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "4", "victim rows per device"},
+      DevicesFlagSpec("H3,M1,S2"),
+      RowsFlagSpec("4"),
       {"episodes", "2000", "attack episodes per (row, margin)"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--devices=M1", "--rows=2", "--episodes=200"};
   spec.analyze = AnalyzeAblationSecurity;

@@ -117,7 +117,7 @@ ExperimentSpec BlastRadiusSpec() {
       "Blast radius of single-sided hammering by physical distance";
   spec.flags = {
       {"device", "M1", "device to hammer"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {};
   spec.analyze = AnalyzeBlastRadius;

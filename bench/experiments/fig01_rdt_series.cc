@@ -129,7 +129,7 @@ ExperimentSpec Fig01Spec() {
   spec.flags = {
       {"device", "H1", "device to measure the headline row on"},
       {"measurements", "100000", "measurements of the victim row"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
       {"scan", "all",
        "device set for the worst-case first-minimum scan (none skips)"},
       ThreadsFlagSpec(),

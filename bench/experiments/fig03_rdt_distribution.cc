@@ -60,9 +60,9 @@ ExperimentSpec Fig03Spec() {
   spec.description =
       "Figure 3: RDT distribution of one victim row per module/chip";
   spec.flags = {
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
+      DevicesFlagSpec(),
       {"measurements", "100000", "measurements per victim row"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
       ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--measurements=2000", "--devices=M1,S2"};

@@ -123,9 +123,9 @@ ExperimentSpec Fig04Spec() {
   spec.description =
       "Figure 4: per-device RDT histograms and chi-square normality";
   spec.flags = {
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
+      DevicesFlagSpec(),
       {"measurements", "100000", "measurements per victim row"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
       {"bars", "M1",
        "device whose full ASCII histogram is printed (none skips)"},
       ThreadsFlagSpec(),

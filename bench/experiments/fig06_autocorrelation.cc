@@ -76,7 +76,7 @@ ExperimentSpec Fig06Spec() {
       {"device", "M1", "device to measure"},
       {"measurements", "100000", "measurements of the victim row"},
       {"lags", "40", "maximum ACF lag"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--measurements=4000"};
   spec.analyze = AnalyzeFig06;

@@ -17,18 +17,10 @@
 namespace vrddram::bench {
 namespace {
 
-core::CampaignConfig BuildFig07Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+constexpr CampaignProcedure kProcedure{.rows = "9", .min_rdt = false};
 
+core::CampaignConfig BuildFig07Campaign(const Flags& flags) {
+  core::CampaignConfig config = kProcedure.Build(flags);
   const auto n_patterns = flags.GetUint("patterns");
   const auto n_tons = flags.GetUint("tons");
   const auto n_temps = flags.GetUint("temps");
@@ -146,12 +138,7 @@ ExperimentSpec Fig07Spec() {
   spec.name = "fig07_cv_scurve";
   spec.description =
       "Figure 7: S-curve of RDT coefficient of variation across rows";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
+  spec.flags = kProcedure.Schema({
       {"patterns", "4", "number of data patterns (1-4)"},
       {"tons", "3", "number of tAggOn levels (1-3)"},
       {"temps", "3", "number of temperature levels (1-3)"},

@@ -13,49 +13,25 @@
 #include <iostream>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
-core::CampaignConfig BuildFig08Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
-  return config;
-}
+constexpr CampaignProcedure kProcedure{.rows = "9"};
 
 void AnalyzeFig08(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig08Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-
   PrintBanner(out,
               "Figure 8: probability of finding the minimum RDT and "
               "expected normalized minimum vs. N measurements");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf18);
-
+  const MinRdtAnalysis analysis = AnalyzeMinRdt(result, report, 0xf18);
+  const core::MinRdtSettings& settings = analysis.settings;
   std::vector<std::vector<double>> prob_by_n(
       settings.sample_sizes.size());
   std::vector<std::vector<double>> norm_by_n(
       settings.sample_sizes.size());
-  // A Monte Carlo run (--iters=N) reuses the campaign's thread setting;
-  // the rows × N fan-out inside AnalyzeRows is deterministic either way.
-  for (const core::RowMinRdtResult& mc :
-       core::AnalyzeRows(result.records, settings, rng, config.threads)) {
+  for (const core::RowMinRdtResult& mc : analysis.rows) {
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       prob_by_n[i].push_back(mc.per_n[i].prob_find_min);
       norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
@@ -128,19 +104,12 @@ ExperimentSpec Fig08Spec() {
   spec.name = "fig08_min_rdt_probability";
   spec.description =
       "Figure 8: probability of finding the minimum RDT";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
-  });
+  spec.flags = kProcedure.Schema();
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150",
                      "--iters=500"};
-  spec.build_campaign = BuildFig08Campaign;
+  spec.build_campaign = [](const Flags& flags) {
+    return kProcedure.Build(flags);
+  };
   spec.analyze = AnalyzeFig08;
   return spec;
 }

@@ -10,40 +10,26 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
+constexpr CampaignProcedure kProcedure{.devices = "", .rows = "9"};
+
 core::CampaignConfig BuildFig09Campaign(const Flags& flags) {
-  core::CampaignConfig config;
+  core::CampaignConfig config = kProcedure.Build(flags);
   config.devices = vrd::Ddr4ModuleNames();
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
   return config;
 }
 
 void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig09Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-
   PrintBanner(out,
               "Figure 9: expected normalized min RDT by die density "
               "and die revision");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf19);
+  const MinRdtAnalysis analysis = AnalyzeMinRdt(result, report, 0xf19);
+  const core::MinRdtSettings& settings = analysis.settings;
 
   // Group rows by (manufacturer, density, die revision).
   struct GroupKey {
@@ -56,11 +42,9 @@ void AnalyzeFig09(const core::CampaignResult& result, Report* report) {
     }
   };
   std::map<GroupKey, std::vector<std::vector<double>>> groups;
-  const std::vector<core::RowMinRdtResult> mc_rows =
-      core::AnalyzeRows(result.records, settings, rng, config.threads);
   for (std::size_t r = 0; r < result.records.size(); ++r) {
     const core::SeriesRecord& record = result.records[r];
-    const core::RowMinRdtResult& mc = mc_rows[r];
+    const core::RowMinRdtResult& mc = analysis.rows[r];
     auto& group =
         groups[GroupKey{record.mfr, record.density_gbit,
                         record.die_rev}];
@@ -109,15 +93,7 @@ ExperimentSpec Fig09Spec() {
   spec.name = "fig09_density_die_rev";
   spec.description =
       "Figure 9: expected normalized min RDT by density and die rev";
-  spec.flags = WithCampaignFlags({
-      {"rows", "9", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
-  });
+  spec.flags = kProcedure.Schema();
   spec.smoke_args = {"--rows=3", "--measurements=120", "--iters=500"};
   spec.build_campaign = BuildFig09Campaign;
   spec.analyze = AnalyzeFig09;

@@ -9,52 +9,35 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
+constexpr CampaignProcedure kProcedure{};
+
 core::CampaignConfig BuildFig10Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = kProcedure.Build(flags);
   config.patterns.assign(std::begin(dram::kAllDataPatterns),
                          std::end(dram::kAllDataPatterns));
   return config;
 }
 
 void AnalyzeFig10(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig10Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-
   PrintBanner(out,
               "Figure 10: expected normalized min RDT per data "
               "pattern and manufacturer");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf1a);
+  const MinRdtAnalysis analysis = AnalyzeMinRdt(result, report, 0xf1a);
+  const core::MinRdtSettings& settings = analysis.settings;
 
   // group -> pattern -> per-N list of expected normalized minima.
   std::map<std::string,
            std::map<dram::DataPattern, std::vector<std::vector<double>>>>
       groups;
-  const std::vector<core::RowMinRdtResult> mc_rows =
-      core::AnalyzeRows(result.records, settings, rng, config.threads);
   for (std::size_t r = 0; r < result.records.size(); ++r) {
     const core::SeriesRecord& record = result.records[r];
-    const core::RowMinRdtResult& mc = mc_rows[r];
+    const core::RowMinRdtResult& mc = analysis.rows[r];
     auto& per_pattern =
         groups[ManufacturerGroupName(record)][record.pattern];
     if (per_pattern.empty()) {
@@ -106,16 +89,7 @@ ExperimentSpec Fig10Spec() {
   spec.name = "fig10_data_pattern";
   spec.description =
       "Figure 10: expected normalized min RDT per data pattern";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
-  });
+  spec.flags = kProcedure.Schema();
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
                      "--iters=500"};
   spec.build_campaign = BuildFig10Campaign;

@@ -10,22 +10,14 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
+constexpr CampaignProcedure kProcedure{.devices = "M0,M1,S0,S2,H1,H3"};
+
 core::CampaignConfig BuildFig12Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = kProcedure.Build(flags);
   config.patterns = {dram::DataPattern::kRowstripe1};
   config.t_ons = {core::TOnChoice::kMinTras};
   config.temperatures = {50.0, 65.0, 80.0};
@@ -34,28 +26,18 @@ core::CampaignConfig BuildFig12Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig12(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig12Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.sample_sizes = {1};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-
   PrintBanner(out,
               "Figure 12: expected normalized min RDT (N = 1) vs. "
               "temperature, Rowstripe1, tAggOn = min tRAS");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf1c);
+  const MinRdtAnalysis analysis =
+      AnalyzeMinRdt(result, report, 0xf1c, {.sample_sizes = {1}});
 
   std::map<std::string, std::map<int, std::vector<double>>> groups;
-  const std::vector<core::RowMinRdtResult> mc_rows =
-      core::AnalyzeRows(result.records, settings, rng, config.threads);
   for (std::size_t r = 0; r < result.records.size(); ++r) {
     const core::SeriesRecord& record = result.records[r];
-    const core::RowMinRdtResult& mc = mc_rows[r];
+    const core::RowMinRdtResult& mc = analysis.rows[r];
     groups[record.device][static_cast<int>(record.temperature)]
         .push_back(mc.per_n[0].expected_norm_min);
   }
@@ -95,16 +77,7 @@ ExperimentSpec Fig12Spec() {
   spec.name = "fig12_temperature";
   spec.description =
       "Figure 12: expected normalized min RDT vs. temperature";
-  spec.flags = WithCampaignFlags({
-      {"devices", "M0,M1,S0,S2,H1,H3",
-       "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
+  spec.flags = kProcedure.Schema({
       {"rig", "true", "run the simulated heater-pad + PID thermal rig"},
   });
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",

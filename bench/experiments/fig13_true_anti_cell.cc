@@ -160,7 +160,7 @@ ExperimentSpec Fig13Spec() {
       {"anti", "12", "anti-cell rows to collect"},
       {"true", "18", "true-cell rows to collect"},
       {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--anti=3", "--true=3", "--measurements=120"};
   spec.analyze = AnalyzeFig13;

@@ -168,7 +168,7 @@ ExperimentSpec Fig14Spec() {
   spec.flags = {
       {"requests", "20000", "memory requests per core"},
       {"mixes", "15", "workload mixes to simulate"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
       {"frfcfs", "false", "use the FR-FCFS scheduler"},
       ThreadsFlagSpec(),
   };

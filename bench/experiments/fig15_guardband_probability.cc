@@ -10,22 +10,14 @@
 #include <iostream>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
+constexpr CampaignProcedure kProcedure{};
+
 core::CampaignConfig BuildFig15Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = kProcedure.Build(flags);
   // Two representative data patterns keep the run short (the trend is
   // unchanged with more); the set is fixed here, not a flag.
   config.patterns = {dram::DataPattern::kCheckered0,
@@ -34,29 +26,22 @@ core::CampaignConfig BuildFig15Campaign(const Flags& flags) {
 }
 
 void AnalyzeFig15(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildFig15Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.sample_sizes = {1, 3, 5, 10, 50, 500};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-  settings.margins = {0.10, 0.20, 0.30, 0.40, 0.50};
-
   PrintBanner(out,
               "Figure 15: probability of finding the min RDT within a "
               "safety margin, vs. N measurements");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0xf15);
+  const MinRdtAnalysis analysis = AnalyzeMinRdt(
+      result, report, 0xf15,
+      {.sample_sizes = {1, 3, 5, 10, 50, 500},
+       .margins = {0.10, 0.20, 0.30, 0.40, 0.50}});
+  const core::MinRdtSettings& settings = analysis.settings;
 
   // per (N index, margin index): list across rows.
   std::vector<std::vector<std::vector<double>>> probs(
       settings.sample_sizes.size(),
       std::vector<std::vector<double>>(settings.margins.size()));
-  for (const core::RowMinRdtResult& mc :
-       core::AnalyzeRows(result.records, settings, rng, config.threads)) {
+  for (const core::RowMinRdtResult& mc : analysis.rows) {
     for (std::size_t n = 0; n < settings.sample_sizes.size(); ++n) {
       for (std::size_t m = 0; m < settings.margins.size(); ++m) {
         probs[n][m].push_back(mc.per_n[n].prob_within_margin[m]);
@@ -102,16 +87,7 @@ ExperimentSpec Fig15Spec() {
   spec.name = "fig15_guardband_probability";
   spec.description =
       "Figure 15: probability of finding the min RDT within a margin";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
-  });
+  spec.flags = kProcedure.Schema();
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=150",
                      "--iters=500"};
   spec.build_campaign = BuildFig15Campaign;

@@ -100,11 +100,11 @@ ExperimentSpec Fig16Spec() {
   spec.description =
       "Figure 16: unique bitflips when hammering below min RDT";
   spec.flags = {
-      {"devices", "ddr4", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "9", "victim rows per device"},
+      DevicesFlagSpec("ddr4"),
+      RowsFlagSpec("9"),
       {"trials", "10000", "hammer trials per (row, margin)"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
+      SeedFlagSpec(),
+      ScanFlagSpec(),
       ThreadsFlagSpec(),
   };
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--trials=300"};

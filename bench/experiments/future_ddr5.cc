@@ -112,7 +112,7 @@ ExperimentSpec FutureDdr5Spec() {
       "Near-future DDR5 regime with an online-profiled PRAC loop";
   spec.flags = {
       {"measurements", "2000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--measurements=300"};
   spec.analyze = AnalyzeFutureDdr5;

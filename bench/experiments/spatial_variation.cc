@@ -66,7 +66,7 @@ ExperimentSpec SpatialVariationSpec() {
   spec.flags = {
       {"device", "M1", "device to profile"},
       {"rows", "2048", "rows to measure"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--rows=256"};
   spec.analyze = AnalyzeSpatialVariation;

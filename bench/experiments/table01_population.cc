@@ -73,7 +73,7 @@ ExperimentSpec Table01Spec() {
   spec.name = "table01_population";
   spec.description = "Table 1: tested DDR4 modules and HBM2 chips";
   spec.flags = {
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {};
   spec.analyze = AnalyzeTable01;

@@ -182,7 +182,7 @@ ExperimentSpec Table03Spec() {
       {"mc_trials", "0",
        "0 = exact: decode every error pattern of weight <= 3; N > 0 = "
        "Monte Carlo with N trials per codec on one RNG stream"},
-      {"seed", "2025", "base RNG seed"},
+      SeedFlagSpec(),
   };
   spec.smoke_args = {"--mc_trials=20000"};
   spec.analyze = AnalyzeTable03;

@@ -10,40 +10,25 @@
 #include <map>
 
 #include "common/experiment.h"
-#include "core/min_rdt_mc.h"
 
 namespace vrddram::bench {
 namespace {
 
+constexpr CampaignProcedure kProcedure{};
+
 core::CampaignConfig BuildTable07Campaign(const Flags& flags) {
-  core::CampaignConfig config;
-  config.devices = ResolveDevices(flags.GetString("devices"));
-  config.rows_per_device =
-      static_cast<std::size_t>(flags.GetUint("rows"));
-  config.measurements =
-      static_cast<std::size_t>(flags.GetUint("measurements"));
-  config.base_seed = flags.GetUint("seed");
-  config.scan_rows_per_region =
-      static_cast<std::size_t>(flags.GetUint("scan"));
-  ApplyCampaignExecutionFlags(flags, &config);
+  core::CampaignConfig config = kProcedure.Build(flags);
   config.t_ons = {core::TOnChoice::kMinTras, core::TOnChoice::kTrefi};
   return config;
 }
 
 void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
-  const Flags& flags = report->flags;
   std::ostream& out = report->out;
-  const core::CampaignConfig config = BuildTable07Campaign(flags);
-
-  core::MinRdtSettings settings;
-  settings.sample_sizes = {1, 5, 50, 500};
-  settings.iterations =
-      static_cast<std::size_t>(flags.GetUint("iters"));
-
   PrintBanner(out, "Table 7: per-module VRD summary");
 
-  PrintShardSummary(out, result);
-  Rng rng(config.base_seed ^ 0x707);
+  const MinRdtAnalysis analysis =
+      AnalyzeMinRdt(result, report, 0x707, {.sample_sizes = {1, 5, 50, 500}});
+  const core::MinRdtSettings& settings = analysis.settings;
 
   struct ModuleAgg {
     std::vector<std::vector<double>> norm_by_n;  // per N
@@ -51,15 +36,13 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
     std::int64_t min_rdt_trefi = -1;
   };
   std::map<std::string, ModuleAgg> modules;
-  const std::vector<core::RowMinRdtResult> mc_rows =
-      core::AnalyzeRows(result.records, settings, rng, config.threads);
   for (std::size_t r = 0; r < result.records.size(); ++r) {
     const core::SeriesRecord& record = result.records[r];
     ModuleAgg& agg = modules[record.device];
     if (agg.norm_by_n.empty()) {
       agg.norm_by_n.resize(settings.sample_sizes.size());
     }
-    const core::RowMinRdtResult& mc = mc_rows[r];
+    const core::RowMinRdtResult& mc = analysis.rows[r];
     for (std::size_t i = 0; i < mc.per_n.size(); ++i) {
       agg.norm_by_n[i].push_back(mc.per_n[i].expected_norm_min);
     }
@@ -80,7 +63,8 @@ void AnalyzeTable07(const core::CampaignResult& result, Report* report) {
   TextTable table({"module", "N=1 med", "N=1 max", "N=5 med",
                    "N=5 max", "N=50 med", "N=50 max", "N=500 med",
                    "N=500 max", "minRDT tRAS", "minRDT tREFI"});
-  for (const std::string& name : config.devices) {
+  for (const std::string& name :
+       ResolveDevices(report->flags.GetString("devices"))) {
     const auto it = modules.find(name);
     if (it == modules.end()) {
       continue;
@@ -123,16 +107,7 @@ ExperimentSpec Table07Spec() {
   ExperimentSpec spec;
   spec.name = "table07_module_summary";
   spec.description = "Table 7: per-module VRD summary (Appendix B)";
-  spec.flags = WithCampaignFlags({
-      {"devices", "all", "device set: all, ddr4, hbm2, or comma list"},
-      {"rows", "6", "victim rows per device"},
-      {"measurements", "1000", "measurements per series"},
-      {"seed", "2025", "base RNG seed"},
-      {"scan", "96", "rows scanned per region when selecting victims"},
-      {"iters", "0",
-       "0 = exact closed form; N > 0 = Monte Carlo with N iterations per "
-       "(row, N) (paper: 10000)"},
-  });
+  spec.flags = kProcedure.Schema();
   spec.smoke_args = {"--devices=M1,S2", "--rows=3", "--measurements=120",
                      "--iters=500"};
   spec.build_campaign = BuildTable07Campaign;

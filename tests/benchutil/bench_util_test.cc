@@ -83,6 +83,20 @@ TEST(DevicesTest, ResolvesCommaSeparatedList) {
   EXPECT_THROW(ResolveDevices(""), FatalError);
 }
 
+TEST(DevicesTest, RejectsNamesOutsideTheCatalog) {
+  try {
+    ResolveDevices("M1,ZZ9");
+    FAIL() << "ZZ9 is not a catalog device";
+  } catch (const FatalError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'ZZ9'"), std::string::npos) << message;
+    for (const std::string& name : vrd::AllDeviceNames()) {
+      EXPECT_NE(message.find(name), std::string::npos) << name;
+    }
+  }
+  EXPECT_THROW(ResolveDevices("m1"), FatalError);
+}
+
 TEST(SingleRowTest, CollectsDeterministicSeries) {
   SingleRowSeries a;
   SingleRowSeries b;

@@ -89,6 +89,19 @@ TEST(DriverTest, MalformedNumericFlagExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(DriverTest, UnknownDeviceNameExitsTwoBeforeAnyMeasurement) {
+  // A misspelled name used to quarantine its shard and report from the
+  // other devices alone, with exit code 0.
+  const DriverRun run = Drive({"run", "fig08_min_rdt_probability",
+                               "--smoke", "--no-cache",
+                               "--devices=M1,ZZ9"});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("unknown device name 'ZZ9'"), std::string::npos)
+      << run.err;
+  EXPECT_NE(run.err.find("Chip0"), std::string::npos) << run.err;
+  EXPECT_EQ(run.out, "");
+}
+
 TEST(DriverTest, ZeroMixesExitsTwoNamingTheFlag) {
   // fig14 averages over the mixes and reads mix 0: with none it used
   // to index an empty vector.

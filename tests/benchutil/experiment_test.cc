@@ -1,12 +1,18 @@
 /**
- * Schema-driven Flags, the experiment registry, and the shared
- * manufacturer grouping helper.
+ * Schema-driven Flags, the experiment registry, the shared §5 campaign
+ * procedure, and the shared manufacturer grouping helper.
  */
 #include "common/experiment.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "core/campaign_checkpoint.h"
 
 namespace vrddram::bench {
 namespace {
@@ -86,6 +92,80 @@ TEST(ExperimentRegistryTest, RejectsDuplicateAndMalformedSpecs) {
   ExperimentSpec no_analyze;
   no_analyze.name = "zz_no_analyze";
   EXPECT_THROW(registry.Register(no_analyze), FatalError);
+}
+
+// What each campaign experiment builds and declares, captured while
+// each still spelled out its own flags and config builder: the config
+// hash at default flags and at its smoke_args, and a hash of its
+// Describe() text. A change to any default, help text, flag order or
+// config field of the shared procedure moves one of them.
+struct CampaignPin {
+  const char* name;
+  std::uint64_t default_config;
+  std::uint64_t smoke_config;
+  std::uint64_t schema;
+};
+
+constexpr CampaignPin kCampaignPins[] = {
+    {"fig07_cv_scurve", 0x98209bf9d9988b0eULL,
+     0xd8ef5a01949a69a1ULL, 0x77c82cb4b320d555ULL},
+    {"fig08_min_rdt_probability", 0xb0cf61233ad5b34cULL,
+     0xae13e081f1985bd8ULL, 0x2c7f0636fad6ae1cULL},
+    {"fig09_density_die_rev", 0x18c4a4d7e180caffULL,
+     0xfca62473c6a0848cULL, 0x19873a13dddd0eeaULL},
+    {"fig10_data_pattern", 0xbadac4e1705cabb2ULL,
+     0xd213275ede1d2ff6ULL, 0x89c59c81c9190931ULL},
+    {"fig11_taggon", 0x99a16c292e192555ULL,
+     0xb6cd30ef2bae3a06ULL, 0x89c59c81c9190931ULL},
+    {"fig12_temperature", 0xb6abae22d2603c3aULL,
+     0x8dba3fcc52f7c93cULL, 0x1cbc9692c36d89fcULL},
+    {"fig15_guardband_probability", 0x99098c5b934b628dULL,
+     0xbbb5e8bf605268a3ULL, 0x89c59c81c9190931ULL},
+    {"table07_module_summary", 0xdd8767b550a76f7cULL,
+     0x1c03f08a983dbdc9ULL, 0x89c59c81c9190931ULL},
+};
+
+TEST(CampaignProcedureTest, ConfigsAndSchemasMatchPins) {
+  std::size_t campaigns = 0;
+  for (const ExperimentSpec* spec : ExperimentRegistry::Instance().All()) {
+    campaigns += spec->build_campaign ? 1 : 0;
+  }
+  EXPECT_EQ(campaigns, std::size(kCampaignPins));
+  for (const CampaignPin& pin : kCampaignPins) {
+    const ExperimentSpec* spec = ExperimentRegistry::Instance().Find(pin.name);
+    ASSERT_NE(spec, nullptr) << pin.name;
+    ASSERT_TRUE(spec->build_campaign) << pin.name;
+    const Flags defaults({}, spec->flags);
+    const Flags smoke(spec->smoke_args, spec->flags);
+    EXPECT_EQ(core::HashCampaignConfig(spec->build_campaign(defaults)),
+              pin.default_config)
+        << pin.name;
+    EXPECT_EQ(core::HashCampaignConfig(spec->build_campaign(smoke)),
+              pin.smoke_config)
+        << pin.name;
+    const std::string schema = Flags::Describe(spec->flags);
+    EXPECT_EQ(HashLabel(0, schema), pin.schema) << pin.name << '\n'
+                                                << schema;
+  }
+}
+
+TEST(CampaignProcedureTest, ExecutionFlagsReachEveryCampaignConfig) {
+  // The execution knobs are not in the config hash, so they are
+  // checked field by field.
+  for (const CampaignPin& pin : kCampaignPins) {
+    const ExperimentSpec* spec = ExperimentRegistry::Instance().Find(pin.name);
+    ASSERT_NE(spec, nullptr) << pin.name;
+    const Flags flags({"--threads=3", "--checkpoint=shards.ckpt",
+                       "--resume", "--inject=campaign.shard:p=0.5",
+                       "--max_attempts=5"},
+                      spec->flags);
+    const core::CampaignConfig config = spec->build_campaign(flags);
+    EXPECT_EQ(config.threads, 3u) << pin.name;
+    EXPECT_EQ(config.checkpoint_path, "shards.ckpt") << pin.name;
+    EXPECT_TRUE(config.resume) << pin.name;
+    EXPECT_EQ(config.inject, "campaign.shard:p=0.5") << pin.name;
+    EXPECT_EQ(config.max_attempts, 5u) << pin.name;
+  }
 }
 
 TEST(GroupNameTest, Hbm2ChipsShareOneGroup) {

@@ -12,11 +12,12 @@ namespace vrddram::core {
 namespace {
 
 struct ProfilerRig {
-  explicit ProfilerRig(double noise_sigma = 0.015) {
+  explicit ProfilerRig(double noise_sigma = 0.015,
+                       double weak_cells_mean = 6.0) {
     vrd::FaultProfile profile;
     profile.median_rdt = 8000.0;
     profile.sigma_rdt = 0.3;
-    profile.weak_cells_mean = 6.0;
+    profile.weak_cells_mean = weak_cells_mean;
     profile.t_ras = dram::MakeDdr4_3200().tRAS;
     profile.measurement_noise_sigma = noise_sigma;
     profile.fast_trap_mean = 2.0;
@@ -218,23 +219,30 @@ TEST(RdtProfilerTest, NoFlipRecordedWhenGridTooLow) {
 }
 
 TEST(RdtProfilerTest, GuessRdtNulloptForInvulnerableRow) {
-  // A row whose physical neighbourhood has no weak cells never flips.
-  ProfilerRig rig;
-  auto* engine =
-      dynamic_cast<vrd::TrapFaultEngine*>(&rig.device->model());
+  // With a weak-cell rate of 0 every row samples no weak cells, so no
+  // row ever flips.
+  ProfilerRig rig(0.015, /*weak_cells_mean=*/0.0);
   ProfilerConfig pc;
   RdtProfiler profiler(*rig.device, pc);
-  for (dram::RowAddr row = 1; row < 255; ++row) {
-    const auto phys = rig.device->mapper().ToPhysical(row);
-    if (phys.value == 0 || phys.value >= 255) {
-      continue;
-    }
-    if (engine->RowStateOf(0, phys).cells.empty()) {
-      EXPECT_FALSE(profiler.GuessRdt(row).has_value());
-      return;
-    }
+  for (const dram::RowAddr row : {1u, 100u, 254u}) {
+    EXPECT_FALSE(profiler.GuessRdt(row).has_value()) << row;
   }
-  GTEST_SKIP() << "every scanned row had weak cells";
+  EXPECT_FALSE(profiler.FindVictim(1, 255).has_value());
+}
+
+TEST(RdtProfilerTest, GuessRdtNulloptAboveGuessCap) {
+  // A row whose RDT lies above guess_cap gets no guess.
+  ProfilerRig rig;
+  ProfilerConfig pc;
+  RdtProfiler profiler(*rig.device, pc);
+  const auto victim = profiler.FindVictim(1, 255);
+  ASSERT_TRUE(victim.has_value());
+  ASSERT_TRUE(profiler.GuessRdt(victim->row).has_value());
+
+  ProfilerConfig capped_pc;
+  capped_pc.guess_cap = victim->rdt_guess / 10;
+  RdtProfiler capped(*rig.device, capped_pc);
+  EXPECT_FALSE(capped.GuessRdt(victim->row).has_value());
 }
 
 TEST(RdtProfilerTest, RowPressProfilerUsesConfiguredTOn) {
